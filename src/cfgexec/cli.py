@@ -84,21 +84,30 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig()
+    """TrainConfig from the command-line overrides; raises ValueError on bad values.
+
+    The config is built through its constructor, so __post_init__ validates
+    every overridden field.
+    """
+    overrides = {}
     for name in ("h", "lr", "epochs", "seed", "batch_size", "tau", "dropout", "v_max"):
         val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg, name, val)
+            overrides[name] = val
     if getattr(args, "agent_mode", None):
-        cfg.agent_mode = args.agent_mode
+        overrides["agent_mode"] = args.agent_mode
     if getattr(args, "max_iter", None):
-        cfg.solver = SolverConfig(max_iter=args.max_iter)
-    return cfg
+        overrides["solver"] = SolverConfig(max_iter=args.max_iter)
+    return TrainConfig(**overrides)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    try:
+        config = _build_config(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     dataset = read_graph_file(args.data)
-    config = _build_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, eval_set = split(dataset, 0.75, config.seed)
@@ -145,12 +154,13 @@ def _dump_traces(bundles, store, config, path: Path) -> None:
 
 
 def _dump_solver(bundles, store, config, path: Path) -> None:
-    rows = ["iter,residual"]
-    for b in bundles[:1]:
+    rows = ["graph_id,iter,residual"]
+    for b in bundles:
         _, cache = forward(b, store, config, mode="eval",
                            seed=derive_seed(config.seed, "solver", b.graph.id),
                            keep_residuals=True)
-        rows.extend(f"{i},{r:.10g}" for i, r in enumerate(cache.solver_result.residuals, 1))
+        rows.extend(f"{b.graph.id},{i},{r:.10g}"
+                    for i, r in enumerate(cache.solver_result.residuals, 1))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"solver residuals -> {path}")
 

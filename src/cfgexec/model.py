@@ -173,7 +173,7 @@ class ForwardCache:
     step_cache: StepCache
     x_star: np.ndarray
     solver_result: SolverResult
-    lambda_gated: float
+    lambda_gated: float | None  # None in eval mode
     ln: LayerNormCache
     g_vec: np.ndarray
     logit: float
@@ -210,7 +210,9 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
     map and the equilibrium is well-defined. Dropout applies only in train
     mode, after pooling. The cache keeps only the final solver residual
     unless keep_residuals asks for the per-iteration log, so its size does
-    not depend on how many iterations the solve took.
+    not depend on how many iterations the solve took. The gated PF
+    eigenvalue, which only the training projection reads, is computed in
+    train mode alone; eval caches hold None.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -248,10 +250,15 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
         result = replace(result, residuals=result.residuals[-1:])
     x_star = ensure_finite("equilibrium", result.x_star)
     _, step_cache = step.forward_cached(x_star)
-    # the gated eigenvalue is a diagnostic (training projects against the
-    # ungated bound); a coarse estimate keeps the estimator cheap
-    lambda_gated = pf_eigenvalue(gate_adjacency(bundle.a_hat, step_cache.a, config.gate_axis),
-                                 max_iter=80, tol=1e-6)
+    # training projects W against max(lambda_ref, lambda_hat), where
+    # lambda_ref smooths the batch max of this estimate, so it sets the
+    # projection radius whenever lambda_ref exceeds lambda_hat; a coarse
+    # estimate keeps it cheap
+    lambda_gated = None
+    if mode == "train":
+        lambda_gated = pf_eigenvalue(
+            gate_adjacency(bundle.a_hat, step_cache.a, config.gate_axis),
+            max_iter=80, tol=1e-6)
     pooled = x_star.mean(axis=0)
     g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])
     logit = float(p["wp"] @ g_vec)

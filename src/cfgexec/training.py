@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import CfgGraph
+from .graphs import CfgGraph, GraphValidationError
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     GraphBundle,
@@ -57,7 +57,9 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    lambda_ref: float = 0.0  # smoothed batch-max gated PF eigenvalue (diagnostic)
+    # smoothed batch-max gated PF eigenvalue; it sets the projection radius
+    # whenever it exceeds the ungated bound lambda_hat
+    lambda_ref: float = 0.0
 
     @classmethod
     def init(cls, store: ParamStore) -> "AdamState":
@@ -222,7 +224,7 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
     losses: list[float] = []
     for b in bundles:
         if b.label is None:
-            raise ValueError(f"label-missing: graph {b.graph.id!r} has no label")
+            raise GraphValidationError("label-missing", f"graph {b.graph.id!r} has no label")
         probs = []
         for k in range(noise_seeds):
             logit, _ = forward(b, store, config, mode="eval",
@@ -260,7 +262,7 @@ def train(
         dataset, eval_dataset = split_dataset(dataset, 0.75, config.seed)
     for g in list(dataset) + list(eval_dataset):
         if g.label is None:
-            raise ValueError(f"label-missing: graph {g.id!r} has no label")
+            raise GraphValidationError("label-missing", f"graph {g.id!r} has no label")
     train_bundles = [prepare_graph(g, config) for g in dataset]
     eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
     if vocab_size is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,9 +40,13 @@ class Vocab:
     def size(self) -> int:
         return len(self.pieces)
 
-    @property
+    @cached_property
     def piece_ids(self) -> dict[str, int]:
         return {piece: i for i, piece in enumerate(self.pieces)}
+
+    @cached_property
+    def max_piece_len(self) -> int:
+        return max(len(piece) for piece in self.pieces)
 
 
 def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
@@ -98,28 +103,32 @@ def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
 def encode_token(token: str, vocab: Vocab) -> list[int]:
     """Greedy longest-match segmentation; unknown characters map to <unk>."""
     ids = vocab.piece_ids
+    longest = vocab.max_piece_len
     out: list[int] = []
     i = 0
     while i < len(token):
-        match = None
-        for j in range(len(token), i, -1):
-            piece = token[i:j]
-            if piece in ids:
-                match = (piece, j)
+        for j in range(min(len(token), i + longest), i, -1):
+            piece_id = ids.get(token[i:j])
+            if piece_id is not None:
+                out.append(piece_id)
+                i = j
                 break
-        if match is None:
+        else:
             out.append(UNK_ID)
             i += 1
-        else:
-            out.append(ids[match[0]])
-            i = match[1]
     return out
 
 
 def encode_block(tokens: Sequence[str], vocab: Vocab, v_max: int) -> list[int]:
-    """Encode a block's token stream as [bos] pieces [eos], truncated to v_max."""
+    """Encode a block's token stream as [bos] pieces [eos], truncated to v_max.
+
+    Tokens past the cut are not encoded: once [bos] plus the pieces so far
+    fill v_max, the rest of the stream cannot reach the output.
+    """
     out = [BOS_ID]
     for tok in tokens:
+        if len(out) >= v_max > 0:
+            break
         out.extend(encode_token(tok, vocab))
     out.append(EOS_ID)
     return out[:v_max]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cfgexec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 LISTING = """\
@@ -108,8 +110,44 @@ class TestGenerateTrainEval:
         recs = json.loads(traces.read_text())
         assert recs and {"selected", "residual"} <= set(recs[0]["steps"][0])
         lines = solver_csv.read_text().splitlines()
-        assert lines[0] == "iter,residual"
-        assert len(lines) > 1
+        assert lines[0] == "graph_id,iter,residual"
+        graph_ids = {g["id"] for g in json.loads(data.read_text())["graphs"]}
+        assert {line.split(",")[0] for line in lines[1:]} == graph_ids
+
+    def test_eval_unlabeled_graphs_is_data_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", n_graphs=4, vocab_size=48)
+        data = tmp_path / "data.json"
+        main(["generate", "--spec", str(spec), "--out", str(data)])
+        out_dir = tmp_path / "run"
+        main(["train", "--data", str(data), "--out-dir", str(out_dir),
+              "--epochs", "1", "--h", "8", "--batch-size", "2", "--max-iter", "10"])
+        asm = tmp_path / "f.s"
+        asm.write_text(LISTING)
+        vocab = tmp_path / "vocab.json"
+        main(["vocab", "train", "--input", str(asm), "--size", "48", "--out", str(vocab)])
+        graphs = tmp_path / "graphs.json"
+        main(["parse", "--input", str(asm), "--vocab", str(vocab), "--out", str(graphs)])
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out_dir / "checkpoint"),
+                     "--data", str(graphs)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "label-missing" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value,field", [("--lr", "-1", "lr"),
+                                                  ("--batch-size", "0", "batch_size")])
+    def test_invalid_train_flag_is_usage_error(self, tmp_path, capsys, flag, value, field):
+        spec = write_spec(tmp_path / "spec.json", n_graphs=4)
+        data = tmp_path / "data.json"
+        main(["generate", "--spec", str(spec), "--out", str(data)])
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                     "--epochs", "1", "--h", "8", flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"usage error: {field} must be positive"]
+        assert not (tmp_path / "run").exists()
 
     def test_infeasible_spec_is_data_error(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", chain_length=20)

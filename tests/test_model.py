@@ -125,6 +125,32 @@ class TestForward:
             assert sorted(set(cache.step_cache.a.tolist())) in ([0.0, 1.0], [1.0])
 
 
+class TestGatedEigenvalue:
+    def test_eval_forward_skips_gated_eigenvalue(self, monkeypatch):
+        import cfgexec.model
+
+        cfg, graph, bundle, store = tiny_setup(0)
+        expected, _ = forward(bundle, store, cfg, mode="eval", seed=5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eval forward computed the gated eigenvalue")
+
+        monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", forbidden)
+        logit, cache = forward(bundle, store, cfg, mode="eval", seed=5)
+        assert cache.lambda_gated is None
+        assert logit == expected
+
+    def test_train_forward_keeps_gated_eigenvalue(self):
+        from cfgexec.executor import gate_adjacency
+        from cfgexec.solver import pf_eigenvalue
+
+        cfg, graph, bundle, store = tiny_setup(1)
+        _, cache = forward(bundle, store, cfg, mode="train", seed=5)
+        gated = gate_adjacency(bundle.a_hat, cache.step_cache.a, cfg.gate_axis)
+        assert cache.lambda_gated == pf_eigenvalue(gated, max_iter=80, tol=1e-6)
+        assert 0.0 < cache.lambda_gated <= bundle.lambda_hat + 1e-6
+
+
 class TestHandTrace:
     def test_two_node_chain_h1_matches_straight_line_oracle(self):
         """Full pipeline at h=1 against an independent scalar transcription."""

@@ -84,6 +84,51 @@ class TestEncode:
         assert len(ids) <= 2 + sum(len(encode_token(t, vocab)) for t in toks)
 
 
+CORPUS = ("mov eax , dword ptr [ rbp - 0x14 ] add rax , 1 cmp eax , 0 jz <sym> "
+          "lea rdi , [ rip + <sym> ] call <sym> movzx ecx , byte ptr [ rax ] "
+          "xor eax , eax pop rbp ret vmovdqa ymm0 , [ rsp + 0x20 ]").split() * 3
+
+
+class TestEncodeBlockCut:
+    def full_encode(self, toks, vocab, v_max):
+        out = [BOS_ID]
+        for tok in toks:
+            out.extend(encode_token(tok, vocab))
+        return (out + [EOS_ID])[:v_max]
+
+    def test_matches_full_encode_then_truncate(self):
+        vocab = train_vocab(CORPUS, 64)
+        blocks = [
+            [],
+            ["mov"],
+            CORPUS[:7],
+            CORPUS,
+            ["Ωmov", "eax", "<unk>", "<eos>", "<pad>rax", "ζ", "0x14"],
+            ["<bos>"] * 40,
+        ]
+        for toks in blocks:
+            for v_max in (1, 2, 4, 32, 10**4):
+                assert encode_block(toks, vocab, v_max) == self.full_encode(toks, vocab, v_max)
+
+    def test_stops_encoding_at_the_cut(self, monkeypatch):
+        import cfgexec.vocab
+
+        vocab = train_vocab(CORPUS, 64)
+        calls = []
+
+        def counting(token, voc):
+            calls.append(token)
+            return encode_token(token, voc)
+
+        monkeypatch.setattr(cfgexec.vocab, "encode_token", counting)
+        assert encode_block(CORPUS, vocab, 4) == self.full_encode(CORPUS, vocab, 4)
+        assert len(calls) <= 3
+
+    def test_piece_ids_built_once(self):
+        vocab = train_vocab(CORPUS, 64)
+        assert vocab.piece_ids is vocab.piece_ids
+
+
 class TestVocabFile:
     def test_roundtrip(self, tmp_path):
         vocab = train_vocab(["mov eax", "add ebx"], 30)
