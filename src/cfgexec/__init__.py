@@ -9,7 +9,6 @@ from .graphs import (
     CfgGraph,
     GraphFileError,
     GraphValidationError,
-    NormalizedAdjacency,
     make_graph,
     merge_functions,
     read_graph_file,
@@ -45,7 +44,6 @@ __all__ = [
     "JointStep",
     "MetricsReport",
     "ModelConfig",
-    "NormalizedAdjacency",
     "SolverConfig",
     "SolverResult",
     "SyntheticSpec",

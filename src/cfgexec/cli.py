@@ -87,7 +87,8 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
     """TrainConfig from the command-line overrides; raises ValueError on bad values.
 
     The config is built through its constructor, so __post_init__ validates
-    every overridden field.
+    every overridden field. Training zero epochs is valid in the library but
+    leaves `train` nothing to report, so it is rejected here.
     """
     overrides = {}
     for name in ("h", "lr", "epochs", "seed", "batch_size", "tau", "dropout", "v_max"):
@@ -96,9 +97,12 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
             overrides[name] = val
     if getattr(args, "agent_mode", None):
         overrides["agent_mode"] = args.agent_mode
-    if getattr(args, "max_iter", None):
+    if getattr(args, "max_iter", None) is not None:
         overrides["solver"] = SolverConfig(max_iter=args.max_iter)
-    return TrainConfig(**overrides)
+    config = TrainConfig(**overrides)
+    if config.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {config.epochs}")
+    return config
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

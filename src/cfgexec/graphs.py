@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .solver import pf_eigenvalue
-
 GRAPH_FORMAT_VERSION = 1
 
 
@@ -172,20 +170,12 @@ def validate_graph(g: CfgGraph) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """Renormalized adjacency D^{-1/2} (A+I) D^{-1/2} with its cached PF eigenvalue."""
-
-    matrix: np.ndarray
-    pf_eigenvalue: float
-
-
-def renormalize(adjacency: np.ndarray) -> NormalizedAdjacency:
+def renormalize(adjacency: np.ndarray) -> np.ndarray:
     """Apply the renormalization trick to a raw adjacency matrix.
 
     Returns D^{-1/2} (A+I) D^{-1/2} where D is the diagonal of row sums of
     A+I. Direction is preserved (no symmetrization); row sums of A+I are
-    always >= 1, so the scaling never divides by zero.
+    always >= 1, so the scaling never divides by zero. The result is f64.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]
@@ -195,7 +185,7 @@ def renormalize(adjacency: np.ndarray) -> NormalizedAdjacency:
     mat = at * inv_sqrt[:, None] * inv_sqrt[None, :]
     if not np.isfinite(mat).all():
         raise GraphValidationError("adjacency-domain", "non-finite entries after renormalization")
-    return NormalizedAdjacency(matrix=mat, pf_eigenvalue=float(pf_eigenvalue(mat)))
+    return mat
 
 
 def merge_functions(

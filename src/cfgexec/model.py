@@ -10,6 +10,7 @@ state is therefore independent of how many iterations the solver ran.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .executor import JointStep, StepCache, gate_adjacency, gumbel_softmax, program_state
 from .graphs import CfgGraph, renormalize
 from .nn import (
+    ACTIVATIONS,
     BiGruCache,
     LayerNormCache,
     ParamStore,
@@ -59,6 +61,26 @@ class ModelConfig:
     precision: str = "f32"
     v_max: int = 32
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self) -> None:
+        if self.h < 1:
+            raise ValueError(f"h must be >= 1, got {self.h}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.kappa < 1.0:
+            raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
+        if self.v_max < 1:
+            raise ValueError(f"v_max must be >= 1, got {self.v_max}")
+        for name, accepted in (("agent_mode", ("soft", "hard")),
+                               ("phi", tuple(ACTIVATIONS)),
+                               ("pool", ("avg", "max")),
+                               ("gate_axis", ("recv", "send")),
+                               ("precision", ("f32", "f64"))):
+            if getattr(self, name) not in accepted:
+                raise ValueError(f"{name} must be one of {', '.join(accepted)}, "
+                                 f"got {getattr(self, name)!r}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -126,13 +148,20 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
 
 @dataclass(frozen=True, eq=False)
 class GraphBundle:
-    """A graph preprocessed for the model: padded ids, mask, and normalized adjacency."""
+    """A graph preprocessed for the model: padded ids, mask, and normalized adjacency.
+
+    lambda_hat, the PF eigenvalue of the f64 renormalized adjacency, is
+    computed on first read and cached; only the training projection reads it.
+    """
 
     graph: CfgGraph
     ids: np.ndarray
     mask: np.ndarray
     a_hat: np.ndarray
-    lambda_hat: float
+
+    @functools.cached_property
+    def lambda_hat(self) -> float:
+        return pf_eigenvalue(renormalize(self.graph.adjacency))
 
     @property
     def n(self) -> int:
@@ -149,13 +178,11 @@ def prepare_graph(graph: CfgGraph, config: ModelConfig) -> GraphBundle:
     for i, seq in enumerate(graph.nodes):
         trunc = seq[:v]
         ids[i, : len(trunc)] = trunc
-    norm = renormalize(graph.adjacency)
     return GraphBundle(
         graph=graph,
         ids=ids,
         mask=ids != 0,
-        a_hat=norm.matrix.astype(config.dtype),
-        lambda_hat=norm.pf_eigenvalue,
+        a_hat=renormalize(graph.adjacency).astype(config.dtype),
     )
 
 

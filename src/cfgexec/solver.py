@@ -8,6 +8,7 @@ the combined residual norm subject to summing to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,6 +42,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 <= self.kappa < 1.0):
             raise ValueError(f"kappa must be in [0, 1), got {self.kappa}")
 
@@ -170,7 +173,9 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) 
     Negative entries are folded with abs() first. Iterates on M + I so that
     periodic nonnegative matrices (e.g. permutations) converge; the unit
     shift is subtracted from the Rayleigh estimate, which is exact because
-    adding I shifts every eigenvalue of a nonnegative matrix by one.
+    adding I shifts every eigenvalue of a nonnegative matrix by one. The
+    product in each step's Rayleigh quotient is the next step's iterate, so
+    a step costs one matrix-vector product.
     """
     m = np.abs(np.asarray(matrix, dtype=np.float64))
     n = m.shape[0]
@@ -178,14 +183,17 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) 
         return 0.0
     ms = m + np.eye(n)
     x = np.full(n, 1.0 / np.sqrt(n))
+    y = ms @ x
     lam = 0.0
+    # np.dot calls the same BLAS kernels as `@` and np.linalg.norm, with less
+    # dispatch per call; the two buffers are reused across steps
     for _ in range(max_iter):
-        y = ms @ x
-        norm = np.linalg.norm(y)
+        norm = math.sqrt(np.dot(y, y))
         if norm == 0.0:
             return 0.0
-        x = y / norm
-        lam_new = float(x @ (ms @ x))
+        np.divide(y, norm, out=x)
+        np.dot(ms, x, out=y)
+        lam_new = float(np.dot(x, y))
         if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
             lam = lam_new
             break

@@ -47,9 +47,14 @@ class TrainConfig(ModelConfig):
     eval_noise_seeds: int = 1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("lr", "beta1", "beta2", "adam_eps", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.eval_noise_seeds < 1:
+            raise ValueError(f"eval_noise_seeds must be >= 1, got {self.eval_noise_seeds}")
 
 
 @dataclass

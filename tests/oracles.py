@@ -33,6 +33,31 @@ def dense_spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=np.float64)))))
 
 
+def pf_eigenvalue_reference(matrix: np.ndarray, max_iter: int = 1000,
+                            tol: float = 1e-12) -> float:
+    """Power iteration on |M| + I with two matrix-vector products per step:
+    one for the next iterate and one for its Rayleigh quotient."""
+    m = np.abs(np.asarray(matrix, dtype=np.float64))
+    n = m.shape[0]
+    if n == 0 or not m.any():
+        return 0.0
+    ms = m + np.eye(n)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    lam = 0.0
+    for _ in range(max_iter):
+        y = ms @ x
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return 0.0
+        x = y / norm
+        lam_new = float(x @ (ms @ x))
+        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
+            lam = lam_new
+            break
+        lam = lam_new
+    return max(lam - 1.0, 0.0)
+
+
 def l1_projection_bisection(v: np.ndarray, radius: float) -> np.ndarray:
     """L1-ball projection by bisecting on the soft threshold."""
     v = np.asarray(v, dtype=np.float64)

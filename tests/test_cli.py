@@ -149,6 +149,24 @@ class TestGenerateTrainEval:
         assert err.splitlines() == [f"usage error: {field} must be positive"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--tau", "0"), ("--dropout", "1.5"),
+                                            ("--v-max", "0"), ("--h", "0"),
+                                            ("--max-iter", "0"), ("--epochs", "0")])
+    def test_out_of_range_train_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        spec = write_spec(tmp_path / "spec.json", n_graphs=4)
+        data = tmp_path / "data.json"
+        main(["generate", "--spec", str(spec), "--out", str(data)])
+        capsys.readouterr()
+        args = ["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                "--h", "8", "--batch-size", "2", "--max-iter", "10", "--epochs", "1"]
+        code = main(args + [flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_infeasible_spec_is_data_error(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", chain_length=20)
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "d.json")])

@@ -25,7 +25,7 @@ from oracles import dense_spectral_radius
 def random_a_hat(rng, n):
     a = (rng.random((n, n)) < 0.4).astype(float)
     np.fill_diagonal(a, 0.0)
-    return renormalize(a).matrix
+    return renormalize(a)
 
 
 class TestProgramState:
@@ -325,7 +325,7 @@ class TestRunExecution:
         a = np.zeros((n, n))
         for i in range(n - 1):
             a[i, i + 1] = 1.0
-        a_hat = renormalize(a).matrix
+        a_hat = renormalize(a)
         params = {"ws": rng.normal(size=(h, 1)), "W": rng.normal(size=(h, h)) * 0.3,
                   "Om": rng.normal(size=(h, h)) * 0.3, "cb": np.zeros(h)}
         u = rng.normal(size=(n, h))
@@ -342,7 +342,7 @@ class TestRunExecution:
         a = np.zeros((n, n))
         for i in range(n - 1):
             a[i, i + 1] = 1.0
-        a_hat = renormalize(a).matrix
+        a_hat = renormalize(a)
         params = {"ws": rng.normal(size=(h, 1)), "W": rng.normal(size=(h, h)) * 0.2,
                   "Om": rng.normal(size=(h, h)) * 0.2, "cb": np.zeros(h)}
         u = rng.normal(size=(n, h))

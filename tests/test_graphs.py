@@ -17,6 +17,7 @@ from cfgexec.graphs import (
     validate_graph,
     write_graph_file,
 )
+from cfgexec.model import ModelConfig, prepare_graph
 from cfgexec.solver import pf_eigenvalue
 
 from oracles import dense_spectral_radius
@@ -69,22 +70,22 @@ class TestValidate:
 
 class TestRenormalize:
     def test_single_node(self):
-        np.testing.assert_allclose(renormalize(np.zeros((1, 1))).matrix, [[1.0]])
+        np.testing.assert_allclose(renormalize(np.zeros((1, 1))), [[1.0]])
 
     def test_two_node_chain_hand_computed(self):
         # A + I = [[1,1],[0,1]], row sums (2,1): entries 1/2, 1/sqrt(2), 0, 1
         out = renormalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
         expected = np.array([[0.5, 1.0 / np.sqrt(2.0)], [0.0, 1.0]])
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_symmetry_preserved(self):
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        out = renormalize(a).matrix
+        out = renormalize(a)
         np.testing.assert_allclose(out, out.T, atol=1e-15)
 
     def test_direction_preserved(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = renormalize(a).matrix
+        out = renormalize(a)
         assert out[0, 1] > 0.0
         assert out[1, 0] == 0.0
 
@@ -95,13 +96,13 @@ class TestRenormalize:
             a = (rng.random((n, n)) < 0.4).astype(float)
             np.fill_diagonal(a, 0.0)
             out = renormalize(a)
-            assert np.isfinite(out.matrix).all()
-            assert (out.matrix >= 0.0).all()
+            assert np.isfinite(out).all()
+            assert (out >= 0.0).all()
 
     def test_row_sums_bounded_on_chain_family(self):
         for n in range(1, 8):
             out = renormalize(chain(n).adjacency)
-            sums = out.matrix.sum(axis=1)
+            sums = out.sum(axis=1)
             assert (sums > 0.0).all()
             assert sums.max() <= 0.5 + 1.0 / np.sqrt(2.0) + 1e-12
 
@@ -112,12 +113,13 @@ class TestRenormalize:
             a = (rng.random((n, n)) < 0.5).astype(float)
             np.fill_diagonal(a, 0.0)
             out = renormalize(a)
-            assert out.pf_eigenvalue == pytest.approx(
-                dense_spectral_radius(out.matrix), abs=1e-8)
+            assert pf_eigenvalue(out) == pytest.approx(
+                dense_spectral_radius(out), abs=1e-8)
 
     def test_cached_pf_matches_power_iteration(self):
-        out = renormalize(chain(4).adjacency)
-        assert out.pf_eigenvalue == pytest.approx(pf_eigenvalue(out.matrix), abs=1e-8)
+        g = chain(4)
+        cached = prepare_graph(g, ModelConfig()).lambda_hat
+        assert cached == pytest.approx(pf_eigenvalue(renormalize(g.adjacency)), abs=1e-8)
 
 
 class TestMerge:

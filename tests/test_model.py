@@ -127,16 +127,18 @@ class TestForward:
 
 class TestGatedEigenvalue:
     def test_eval_forward_skips_gated_eigenvalue(self, monkeypatch):
+        """Preparing and scoring a graph computes neither the gated nor the
+        ungated PF eigenvalue."""
         import cfgexec.model
 
         cfg, graph, bundle, store = tiny_setup(0)
         expected, _ = forward(bundle, store, cfg, mode="eval", seed=5)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("eval forward computed the gated eigenvalue")
+            raise AssertionError("scoring computed a PF eigenvalue")
 
         monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", forbidden)
-        logit, cache = forward(bundle, store, cfg, mode="eval", seed=5)
+        logit, cache = forward(prepare_graph(graph, cfg), store, cfg, mode="eval", seed=5)
         assert cache.lambda_gated is None
         assert logit == expected
 
@@ -149,6 +151,29 @@ class TestGatedEigenvalue:
         gated = gate_adjacency(bundle.a_hat, cache.step_cache.a, cfg.gate_axis)
         assert cache.lambda_gated == pf_eigenvalue(gated, max_iter=80, tol=1e-6)
         assert 0.0 < cache.lambda_gated <= bundle.lambda_hat + 1e-6
+
+
+class TestLambdaHat:
+    def test_computed_once_from_f64_adjacency(self, monkeypatch):
+        import cfgexec.model
+        from cfgexec.graphs import renormalize
+        from cfgexec.solver import pf_eigenvalue
+
+        cfg, graph, _, _ = tiny_setup(1)
+        cfg.precision = "f32"
+        calls = []
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.dtype)
+            return pf_eigenvalue(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", counting)
+        bundle = prepare_graph(graph, cfg)
+        assert calls == []
+        first = bundle.lambda_hat
+        assert first == pf_eigenvalue(renormalize(graph.adjacency))
+        assert bundle.lambda_hat == first
+        assert calls == [np.float64]
 
 
 class TestHandTrace:
@@ -258,7 +283,7 @@ class TestImplicitBackward:
         bundle = prepare_graph(g, cfg)
         store = init_model_params(cfg, 8, seed=3)
         bundle_zero = type(bundle)(graph=bundle.graph, ids=bundle.ids, mask=bundle.mask,
-                                   a_hat=np.zeros_like(bundle.a_hat), lambda_hat=0.0)
+                                   a_hat=np.zeros_like(bundle.a_hat))
         _, cache = forward(bundle_zero, store, cfg, mode="eval", seed=1)
         loss, grads = model_backward(cache, store, 1)
         # with A~=0 the equilibrium is phi(U Om + b); check dOm by finite diff

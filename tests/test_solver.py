@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from cfgexec.executor import gate_adjacency
+from cfgexec.graphs import renormalize
 from cfgexec.solver import (
     DivergenceError,
     SolverConfig,
@@ -12,8 +14,9 @@ from cfgexec.solver import (
     project_l1_ball,
     project_wellposed,
 )
+from cfgexec.synth import SyntheticSpec, generate_dataset
 
-from oracles import dense_spectral_radius, l1_projection_bisection
+from oracles import dense_spectral_radius, l1_projection_bisection, pf_eigenvalue_reference
 
 COS_FIXED_POINT = 0.7390851332151607
 
@@ -171,3 +174,49 @@ class TestProjectWellposed:
         for _ in range(100):
             a = rng.uniform(0.0, 1.0, size=5)
             assert pf_eigenvalue(m * a[None, :]) <= lam_full + 1e-9
+
+
+class TestPfEigenvalueMatchesReference:
+    """One matrix-vector product per step gives the two-product loop's bits."""
+
+    @staticmethod
+    def renormalized(spec):
+        return [renormalize(g.adjacency) for g in generate_dataset(spec)]
+
+    def test_criterion_6_graphs(self):
+        spec = SyntheticSpec(n_graphs=24, chain_length=8, seed=42)
+        for m in self.renormalized(spec):
+            assert pf_eigenvalue(m) == pf_eigenvalue_reference(m)
+
+    def test_deep_graphs(self):
+        spec = SyntheticSpec(n_graphs=6, chain_length=60, node_count_range=(80, 96),
+                             tokens_per_block=1, seed=3)
+        for m in self.renormalized(spec):
+            assert pf_eigenvalue(m) == pf_eigenvalue_reference(m)
+
+    def test_gated_f32_estimates(self):
+        rng = np.random.default_rng(11)
+        spec = SyntheticSpec(n_graphs=8, chain_length=8, seed=5)
+        for m in self.renormalized(spec):
+            a_hat = m.astype(np.float32)
+            for axis in ("recv", "send"):
+                z = rng.random(a_hat.shape[0]).astype(np.float32)
+                gated = gate_adjacency(a_hat, z / z.max(), axis)
+                assert (pf_eigenvalue(gated, max_iter=80, tol=1e-6)
+                        == pf_eigenvalue_reference(gated, max_iter=80, tol=1e-6))
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.diag([0.3, 2.5, 1.1]),
+        np.zeros((4, 4)),
+        np.array([[0.0, -2.0], [1.0, 0.0]]),
+    ], ids=["permutation", "diagonal", "zero", "negative"])
+    def test_small_matrices(self, m):
+        assert pf_eigenvalue(m) == pf_eigenvalue_reference(m)
+
+    def test_runs_to_max_iter(self):
+        m = np.random.default_rng(2).random((7, 7))
+        for max_iter in (0, 1, 3, 17):
+            # tol 0 never stops early, so every step runs
+            assert (pf_eigenvalue(m, max_iter=max_iter, tol=0.0)
+                    == pf_eigenvalue_reference(m, max_iter=max_iter, tol=0.0))

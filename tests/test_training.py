@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfgexec.executor import gate_adjacency
-from cfgexec.model import forward, init_model_params, prepare_graph
+from cfgexec.model import ModelConfig, forward, init_model_params, prepare_graph
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import (
@@ -32,6 +32,36 @@ def small_config(**kw):
 def small_dataset(n=16, seed=3):
     return generate_dataset(SyntheticSpec(
         n_graphs=n, chain_length=4, node_count_range=(9, 11), vocab_size=16, seed=seed))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("tau", 0.0), ("tau", -1.0), ("tau", float("nan")),
+        ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1),
+        ("h", 0), ("v_max", 0), ("kappa", 0.0), ("kappa", 1.0),
+        ("agent_mode", "greedy"), ("phi", "gelu"), ("pool", "sum"),
+        ("gate_axis", "both"), ("precision", "f16"),
+    ])
+    def test_model_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("epochs", -1), ("eval_noise_seeds", 0)])
+    def test_train_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_solver_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=0)
+
+    def test_accepted_values(self):
+        for mode, phi, pool, axis, precision in (("hard", "relu", "max", "send", "f64"),
+                                                 ("soft", "sigmoid", "avg", "recv", "f32")):
+            TrainConfig(agent_mode=mode, phi=phi, pool=pool, gate_axis=axis,
+                        precision=precision, dropout=0.0, h=1, v_max=1, epochs=0)
 
 
 class TestAdam:
