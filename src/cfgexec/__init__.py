@@ -16,7 +16,7 @@ from .graphs import (
     validate_graph,
     write_graph_file,
 )
-from .executor import AgentConfig, ExecutionState, JointStep, deq_cell, gate_adjacency, gumbel_sample, program_state
+from .executor import JointStep, gate_adjacency, program_state
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, forward, init_model_params, model_backward, prepare_graph
 from .solver import (
@@ -35,10 +35,8 @@ from .vocab import Vocab, encode_block, train_vocab
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig",
     "CfgGraph",
     "DivergenceError",
-    "ExecutionState",
     "GraphFileError",
     "GraphValidationError",
     "JointStep",
@@ -51,12 +49,10 @@ __all__ = [
     "Vocab",
     "anderson",
     "compute_metrics",
-    "deq_cell",
     "encode_block",
     "forward",
     "gate_adjacency",
     "generate_dataset",
-    "gumbel_sample",
     "init_model_params",
     "load_checkpoint",
     "make_graph",

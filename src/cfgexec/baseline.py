@@ -45,12 +45,10 @@ def init_gcn_params(config: TrainConfig, vocab_size: int, layers: int, seed: int
     store = init_model_params(config, vocab_size, seed)
     rng = np.random.default_rng(derive_seed(seed, "gcn"))
     for name in ("ws", "W", "Om", "cb"):
-        del store.params[name], store.grads[name]
+        del store.params[name]
     h = config.h
     for layer in range(layers):
-        w = (rng.normal(size=(h, h)) * 0.1).astype(config.dtype)
-        store.params[f"gcn_W{layer}"] = w
-        store.grads[f"gcn_W{layer}"] = np.zeros_like(w)
+        store.params[f"gcn_W{layer}"] = (rng.normal(size=(h, h)) * 0.1).astype(config.dtype)
     return store
 
 
@@ -177,8 +175,3 @@ def train_gcn(dataset: Sequence[CfgGraph], config: TrainConfig,
     return GcnResult(store=store, history=history, best_accuracy=best_acc,
                      best_auc=best_auc, acc_at_best_auc=acc_at_best_auc, report=report)
 
-
-def gcn_baseline(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
-                 config: TrainConfig, layers: int = 2) -> MetricsReport:
-    """Train the fixed-depth GCN and report eval metrics on the given split."""
-    return train_gcn(dataset, config, eval_dataset, layers=layers).report

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import asm as asm_mod
 from .asm import AsmParseError
-from .executor import AgentConfig, run_execution
 from .graphs import GraphFileError, GraphValidationError, read_graph_file, write_graph_file
 from .model import derive_seed, forward, init_model_params, model_backward, prepare_graph
 from .nn import NumericError, finite_diff_check
 from .solver import DivergenceError, SolverConfig, anderson, naive_iterate
 from .synth import SynthesisError, SyntheticSpec, generate_dataset, spec_from_json, split
 from .training import (
+    CheckpointError,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -131,40 +131,38 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     store, config, _adam, _epoch = load_checkpoint(args.checkpoint)
     dataset = read_graph_file(args.data)
     bundles = [prepare_graph(g, config) for g in dataset]
-    loss, report, scores = evaluate(bundles, store, config)
+    loss, report, _ = evaluate(bundles, store, config,
+                               noise_seeds=config.eval_noise_seeds)
     print(f"loss={loss:.6f} accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
-    if args.dump_traces:
-        _dump_traces(bundles, store, config, Path(args.dump_traces))
-    if args.dump_solver:
-        _dump_solver(bundles, store, config, Path(args.dump_solver))
+    if args.dump_traces or args.dump_solver:
+        # the solve behind each score's first noise draw, with its per-iteration log
+        caches = [forward(b, store, config, mode="eval",
+                          seed=derive_seed(config.seed, "eval", b.graph.id, 0),
+                          keep_trace=True)[1] for b in bundles]
+        if args.dump_traces:
+            _dump_traces(caches, Path(args.dump_traces))
+        if args.dump_solver:
+            _dump_solver(caches, Path(args.dump_solver))
     return EXIT_OK
 
 
-def _dump_traces(bundles, store, config, path: Path) -> None:
-    agent = AgentConfig(mode="hard", tau=config.tau, max_steps=config.solver.max_iter,
-                        gate_axis=config.gate_axis)
+def _dump_traces(caches, path: Path) -> None:
     records = []
-    for b in bundles:
-        logit, cache = forward(b, store, config, mode="eval",
-                               seed=derive_seed(config.seed, "trace", b.graph.id))
-        _, trace = run_execution(
-            b.a_hat, cache.step.u, store.params, agent, b.graph.exits,
-            config.solver.resolve_tol(config.dtype),
-            seed=derive_seed(config.seed, "trace", b.graph.id))
-        records.append({"graph_id": b.graph.id, "steps": trace})
+    for c in caches:
+        steps = [{"selected": sel, "residual": res}
+                 for sel, res in zip(c.selected, c.solver_result.residuals)]
+        steps[-1]["stop"] = c.termination
+        records.append({"graph_id": c.bundle.graph.id, "steps": steps})
     path.write_text(json.dumps(records, indent=1), encoding="utf-8")
     print(f"execution traces -> {path}")
 
 
-def _dump_solver(bundles, store, config, path: Path) -> None:
+def _dump_solver(caches, path: Path) -> None:
     rows = ["graph_id,iter,residual"]
-    for b in bundles:
-        _, cache = forward(b, store, config, mode="eval",
-                           seed=derive_seed(config.seed, "solver", b.graph.id),
-                           keep_residuals=True)
-        rows.extend(f"{b.graph.id},{i},{r:.10g}"
-                    for i, r in enumerate(cache.solver_result.residuals, 1))
+    for c in caches:
+        rows.extend(f"{c.bundle.graph.id},{i},{r:.10g}"
+                    for i, r in enumerate(c.solver_result.residuals, 1))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"solver residuals -> {path}")
 
@@ -271,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return func(args)
     except (GraphFileError, GraphValidationError, VocabError, SynthesisError,
-            AsmParseError, FileNotFoundError) as exc:
+            AsmParseError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NumericError) as exc:

@@ -21,60 +21,10 @@ Perron-Frobenius eigenvalue never exceeds that of the renormalized adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .nn import ACTIVATIONS, NumericError, sigmoid
-
-
-@dataclass
-class AgentConfig:
-    """Branching agent settings.
-
-    mode "hard" applies a one-hot straight-through sample; "soft" applies the
-    relaxed probabilities scaled to a largest entry of 1 (`agent_gate`). tau
-    is the Gumbel-softmax temperature.
-    gate_axis "recv" scales columns of the adjacency (the agent picks which
-    nodes receive flow); "send" scales rows. successor_mask restricts the
-    episodic agent to successors of the previously selected node.
-    """
-
-    mode: str = "soft"
-    tau: float = 16.0
-    successor_mask: bool = False
-    max_steps: int = 50
-    gate_axis: str = "recv"
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.mode not in ("hard", "soft"):
-            raise ValueError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
-        if self.gate_axis not in ("recv", "send"):
-            raise ValueError(f"gate_axis must be 'recv' or 'send', got {self.gate_axis!r}")
-
-
-@dataclass
-class ExecutionState:
-    """Snapshot of one transition step."""
-
-    X: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-    a: np.ndarray
-    A_gated: np.ndarray
-    step: int
-    residual: float = np.inf
-
-    def __post_init__(self) -> None:
-        total = float(self.z.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise NumericError(f"agent probabilities sum to {total}, expected 1")
-
-    @property
-    def selected(self) -> int:
-        return int(np.argmax(self.a))
 
 
 STATE_FLOOR = 1e-6  # keeps log(s) and the 1/s gradient term finite under f32
@@ -90,16 +40,12 @@ def program_state(x: np.ndarray, w_s: np.ndarray) -> np.ndarray:
     return np.clip(s, STATE_FLOOR, 1.0)
 
 
-def gumbel_softmax(s: np.ndarray, noise: np.ndarray, tau: float,
-                   allowed: np.ndarray | None = None) -> np.ndarray:
+def gumbel_softmax(s: np.ndarray, noise: np.ndarray, tau: float) -> np.ndarray:
     """Relaxed categorical sample z = softmax((log s + g) / tau).
 
-    `noise` holds standard Gumbel draws. `allowed` optionally masks the
-    categories (disallowed entries get -inf logits before the softmax).
+    `noise` holds standard Gumbel draws.
     """
     logits = (np.log(s) + noise) / tau
-    if allowed is not None:
-        logits = np.where(allowed, logits, -np.inf)
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -124,14 +70,6 @@ def agent_gate(z: np.ndarray, hard: bool) -> np.ndarray:
     return z / z.max()
 
 
-def gumbel_sample(s: np.ndarray, tau: float, rng: np.random.Generator,
-                  hard: bool, allowed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw Gumbel noise from rng and return (z, applied agent gate a)."""
-    noise = rng.gumbel(size=s.shape).astype(s.dtype)
-    z = gumbel_softmax(s, noise, tau, allowed)
-    return z, agent_gate(z, hard)
-
-
 def gate_adjacency(a_hat: np.ndarray, a: np.ndarray, gate_axis: str = "recv") -> np.ndarray:
     """Scale the renormalized adjacency by the agent vector.
 
@@ -143,33 +81,6 @@ def gate_adjacency(a_hat: np.ndarray, a: np.ndarray, gate_axis: str = "recv") ->
     if gate_axis == "send":
         return a_hat * a[:, None]
     raise ValueError(f"unknown gate_axis {gate_axis!r}")
-
-
-def deq_cell(x: np.ndarray, u: np.ndarray, w: np.ndarray, omega: np.ndarray,
-             bias: np.ndarray, a_tilde: np.ndarray, phi: str = "tanh") -> np.ndarray:
-    """One transition: X' = A~^T X W + phi(U Omega + bias)."""
-    act = ACTIVATIONS[phi][0]
-    out = (a_tilde.T @ x) @ w + act(u @ omega + bias[None, :])
-    if not np.isfinite(out).all():
-        raise NumericError("nan-detected: non-finite transition output")
-    return out
-
-
-def check_termination(state: ExecutionState, exits: frozenset[int] | set[int],
-                      tol: float, max_steps: int, hard: bool = True) -> str | None:
-    """Return a stop reason or None to continue.
-
-    Stops on "exit-reached" when a hard agent selected an exit node, on
-    "equilibrium" when the relative residual fell below tol, and on
-    "max-steps" at the step budget.
-    """
-    if hard and state.selected in exits:
-        return "exit-reached"
-    if state.residual < tol:
-        return "equilibrium"
-    if state.step >= max_steps:
-        return "max-steps"
-    return None
 
 
 @dataclass
@@ -188,10 +99,10 @@ class StepCache:
 class JointStep:
     """The composite map X -> gate(agent(X)) message passing + phi(U Omega + b).
 
-    Gumbel noise is a fixed vector for the lifetime of the step object, which
-    makes the map deterministic and its fixed point well-defined; the
-    episodic runner in `run_execution` draws fresh noise per step instead.
-    The injected term does not depend on X and is computed once.
+    This is the package's only transition. Gumbel noise is a fixed vector for
+    the lifetime of the step object, which makes the map deterministic and its
+    fixed point well-defined. The injected term does not depend on X and is
+    computed once.
     """
 
     a_hat: np.ndarray
@@ -284,40 +195,3 @@ class JointStep:
             "U": d_inj @ self.omega.T,
         }
 
-
-def run_execution(a_hat: np.ndarray, u: np.ndarray, params: Mapping[str, np.ndarray],
-                  agent: AgentConfig, exits: frozenset[int] | set[int],
-                  tol: float, seed: int) -> tuple[ExecutionState, list[dict]]:
-    """Episodic execution with fresh Gumbel noise per step.
-
-    This is the simulation view used for trace export: the agent walks the
-    graph one step at a time until an exit is selected, the state stops
-    changing, or the step budget runs out. Returns the final state and a
-    trace of {"selected", "residual"} records.
-    """
-    rng = np.random.default_rng(seed)
-    n = a_hat.shape[0]
-    x = u.copy()
-    prev_selected: int | None = None
-    trace: list[dict] = []
-    state = None
-    for step in range(1, agent.max_steps + 1):
-        s = program_state(x, params["ws"])
-        allowed = None
-        if agent.successor_mask and prev_selected is not None:
-            allowed = a_hat[prev_selected] > 0
-        z, a = gumbel_sample(s, agent.tau, rng, agent.mode == "hard", allowed)
-        gated = gate_adjacency(a_hat, a, agent.gate_axis)
-        x_next = deq_cell(x, u, params["W"], params["Om"], params["cb"], gated)
-        residual = float(np.linalg.norm(x_next - x) / (np.linalg.norm(x) + 1e-12))
-        state = ExecutionState(X=x_next, s=s, z=z, a=a, A_gated=gated, step=step,
-                               residual=residual)
-        trace.append({"selected": state.selected, "residual": residual})
-        reason = check_termination(state, exits, tol, agent.max_steps,
-                                   hard=agent.mode == "hard")
-        if reason is not None:
-            trace[-1]["stop"] = reason
-            break
-        x = x_next
-        prev_selected = state.selected
-    return state, trace

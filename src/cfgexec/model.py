@@ -142,8 +142,7 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
             params[name] = (rng.normal(size=shape_fn(h, vocab_size)) * scale).astype(dtype)
     frozen_emb = np.zeros((vocab_size, h), dtype=bool)
     frozen_emb[0] = True
-    return ParamStore(params=params, frozen={"emb": frozen_emb},
-                      rng=np.random.default_rng(derive_seed(seed, "store")))
+    return ParamStore(params=params, frozen={"emb": frozen_emb})
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +204,7 @@ class ForwardCache:
     g_vec: np.ndarray
     logit: float
     termination: str
+    selected: list[int]  # argmax z at each solver iterate; empty unless keep_trace
 
     def retained_floats(self) -> int:
         """Retained-activation accounting used by the memory-contract check."""
@@ -223,23 +223,24 @@ class ForwardCache:
         total += self.step.noise.size
         total += self.x_star.size + self.g_vec.size
         total += self.ln.x_hat.size + self.ln.inv_std.size
-        total += len(self.solver_result.residuals)
+        total += len(self.solver_result.residuals) + len(self.selected)
         return total
 
 
 def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
             mode: str = "eval", seed: int = 0,
-            keep_residuals: bool = False) -> tuple[float, ForwardCache]:
+            keep_trace: bool = False) -> tuple[float, ForwardCache]:
     """Run the full pipeline for one graph; returns (logit, cache).
 
     The Gumbel noise vector is drawn once per call from the seeded stream and
     held fixed across solver iterations, so the transition is a deterministic
     map and the equilibrium is well-defined. Dropout applies only in train
     mode, after pooling. The cache keeps only the final solver residual
-    unless keep_residuals asks for the per-iteration log, so its size does
-    not depend on how many iterations the solve took. The gated PF
-    eigenvalue, which only the training projection reads, is computed in
-    train mode alone; eval caches hold None.
+    unless keep_trace asks for the per-iteration log: every residual and the
+    block the agent ranks first (argmax z) at each iterate. Without it the
+    cache size does not depend on how many iterations the solve took. The
+    gated PF eigenvalue, which only the training projection reads, is
+    computed in train mode alone; eval caches hold None.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -265,18 +266,26 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
     )
     tol = config.solver.resolve_tol(dtype)
     exits = bundle.graph.exits
+    hard = config.agent_mode == "hard"
+    selected: list[int] = []
 
-    def exit_stop(x_new: np.ndarray, _it: int) -> str | None:
-        if config.agent_mode != "hard":
+    def on_iterate(x_new: np.ndarray, _it: int) -> str | None:
+        if not (hard or keep_trace):
             return None
         z = gumbel_softmax(program_state(x_new, p["ws"]), noise, config.tau)
-        return "exit-reached" if int(np.argmax(z)) in exits else None
+        top = int(np.argmax(z))
+        if keep_trace:
+            selected.append(top)
+        return "exit-reached" if hard and top in exits else None
 
-    result = anderson(step, u.copy(), config.solver, tol=tol, on_iterate=exit_stop)
-    if not keep_residuals:
+    result = anderson(step, u.copy(), config.solver, tol=tol, on_iterate=on_iterate)
+    if not keep_trace:
         result = replace(result, residuals=result.residuals[-1:])
     x_star = ensure_finite("equilibrium", result.x_star)
     _, step_cache = step.forward_cached(x_star)
+    if keep_trace and result.converged:
+        # the solver returns a converged iterate without calling on_iterate
+        selected.append(int(np.argmax(step_cache.z)))
     # training projects W against max(lambda_ref, lambda_hat), where
     # lambda_ref smooths the batch max of this estimate, so it sets the
     # projection radius whenever lambda_ref exceeds lambda_hat; a coarse
@@ -294,7 +303,7 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
         bundle=bundle, config=config, mode=mode, gru=gru_cache, pool=pool_cache,
         keep=keep, step=step, step_cache=step_cache, x_star=x_star,
         solver_result=result, lambda_gated=lambda_gated, ln=ln_cache, g_vec=g_vec,
-        logit=logit, termination=termination,
+        logit=logit, termination=termination, selected=selected,
     )
     return logit, cache
 

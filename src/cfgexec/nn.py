@@ -52,12 +52,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -69,15 +63,6 @@ ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray],
     "sigmoid": (sigmoid, lambda out, pre: out * (1.0 - out)),
     "relu": (relu, lambda out, pre: (pre > 0).astype(pre.dtype)),
 }
-
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    if x.shape[-1] != w.shape[0]:
-        raise NumericError(f"shape-mismatch: {x.shape} @ {w.shape}")
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -323,41 +308,19 @@ def bigru_backward(d_out: np.ndarray, cache: BiGruCache,
 
 @dataclass
 class ParamStore:
-    """Named parameters with matching gradient buffers and a seeded RNG.
+    """Named parameters.
 
     `frozen` maps a parameter name to a boolean mask of entries excluded from
     updates and finite-difference probing (the pad embedding row).
     """
 
     params: dict[str, np.ndarray]
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
     frozen: dict[str, np.ndarray] = field(default_factory=dict)
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def __post_init__(self) -> None:
-        names = list(self.params)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
-        for name, value in self.params.items():
-            if name not in self.grads:
-                self.grads[name] = np.zeros_like(value)
-            if self.grads[name].shape != value.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def accumulate(self, grads: Mapping[str, np.ndarray], scale: float = 1.0) -> None:
-        for name, g in grads.items():
-            self.grads[name] += scale * g.astype(self.grads[name].dtype, copy=False)
 
     def copy(self) -> "ParamStore":
         return ParamStore(
             params={k: v.copy() for k, v in self.params.items()},
-            grads={k: v.copy() for k, v in self.grads.items()},
             frozen={k: v.copy() for k, v in self.frozen.items()},
-            rng=self.rng,
         )
 
 

@@ -30,22 +30,18 @@ class SolverConfig:
     None it is resolved per dtype (1e-5 for f32, 1e-8 for f64). ridge is the
     Tikhonov weight of the Anderson least-squares step, relative to the mean
     squared residual difference, so it keeps its effect as residuals shrink.
-    kappa is the contraction constant used by the well-posedness projection.
     """
 
     m: int = 5
     max_iter: int = 50
     tol: float | None = None
     ridge: float = 1e-8
-    kappa: float = 0.9
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (0.0 <= self.kappa < 1.0):
-            raise ValueError(f"kappa must be in [0, 1), got {self.kappa}")
 
     def resolve_tol(self, dtype: np.dtype) -> float:
         if self.tol is not None:
@@ -61,10 +57,6 @@ class SolverResult:
     converged: bool
     fallback_steps: list[int] = field(default_factory=list)
     stop_reason: str | None = None
-
-
-def _rel_residual(fx: np.ndarray, x: np.ndarray) -> float:
-    return float(np.linalg.norm(fx - x) / (np.linalg.norm(x) + 1e-12))
 
 
 def naive_iterate(

@@ -23,7 +23,7 @@ that caps bag-of-tokens and short-receptive-field models near that
 reliability while leaving the reachability cue as the only exact signal.
 
 Vocabulary layout: 0-3 reserved (pad/unk/bos/eos), 4-5 entry prologue marks,
-6 return mark, 7 payload default, 8 guard (reserved), 9 branch hint, the
+6 return mark, 7 payload default, 8 reserved, 9 branch hint, the
 rest filler.
 """
 
@@ -44,7 +44,6 @@ PROLOGUE_A = 4
 PROLOGUE_B = 5
 RET_ID = 6
 DEFAULT_VULN_ID = 7
-GUARD_ID = 8  # reserved for guard-style markers in custom corpora
 HINT_ID = 9
 FILLER_START = 10
 

@@ -33,6 +33,10 @@ from .solver import SolverConfig, project_wellposed
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A checkpoint manifest or tensor blob that cannot be read back."""
+
+
 @dataclass
 class TrainConfig(ModelConfig):
     """Model settings plus optimizer hyperparameters (defaults per the method)."""
@@ -147,14 +151,26 @@ def save_checkpoint(path: str | Path, store: ParamStore, config: TrainConfig,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamState, int]:
+    """Read a checkpoint back; raises CheckpointError when it cannot be used."""
     base = Path(path)
-    manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"checkpoint manifest is not valid JSON: {exc}") from exc
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')!r}")
+        raise CheckpointError(
+            f"unsupported checkpoint version {manifest.get('format_version')!r}")
     blob = base.with_suffix(".bin").read_bytes()
     cfg_dict = dict(manifest["config"])
-    cfg_dict["solver"] = SolverConfig(**cfg_dict["solver"])
-    config = TrainConfig(**cfg_dict)
+    solver = dict(cfg_dict["solver"])
+    # earlier checkpoints carry SolverConfig.kappa, which nothing read (the
+    # projection uses ModelConfig.kappa); dropping it loads them unchanged
+    solver.pop("kappa", None)
+    try:
+        cfg_dict["solver"] = SolverConfig(**solver)
+        config = TrainConfig(**cfg_dict)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
     dtype = np.dtype(manifest["dtype"])
     params: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
@@ -162,14 +178,18 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamStat
     for rec in manifest["tensors"]:
         shape = tuple(rec["shape"])
         count = int(np.prod(shape)) if shape else 1
+        start = rec["offset"]
+        end = start + count * dtype.itemsize
+        if start < 0 or end > len(blob):
+            raise CheckpointError(f"tensor {rec['name']!r} ({rec['role']}) spans bytes "
+                                  f"{start}-{end}, outside the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype=dtype, count=count,
-                            offset=rec["offset"]).reshape(shape).copy()
+                            offset=start).reshape(shape).copy()
         target = {"param": params, "adam_m": adam_m, "adam_v": adam_v}[rec["role"]]
         target[rec["name"]] = arr
     frozen = np.zeros(params["emb"].shape, dtype=bool)
     frozen[0] = True
-    store = ParamStore(params=params, frozen={"emb": frozen},
-                       rng=np.random.default_rng(derive_seed(config.seed, "store")))
+    store = ParamStore(params=params, frozen={"emb": frozen})
     adam = AdamState(m=adam_m, v=adam_v, t=manifest["adam_t"],
                      lambda_ref=manifest.get("lambda_ref", 0.0))
     return store, config, adam, int(manifest["epoch"])

@@ -2,9 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cfgexec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from cfgexec.graphs import read_graph_file, write_graph_file
+from cfgexec.model import derive_seed, forward, init_model_params, prepare_graph
+from cfgexec.solver import SolverConfig
+from cfgexec.synth import SyntheticSpec, generate_dataset
+from cfgexec.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 LISTING = """\
 f:
@@ -22,6 +28,18 @@ def write_spec(path, **overrides):
     spec.update(overrides)
     path.write_text(json.dumps(spec))
     return path
+
+
+def init_checkpoint(tmp_path, n_graphs=4, **config):
+    """A checkpoint of seeded initial parameters, plus a generated data file."""
+    spec = write_spec(tmp_path / "spec.json", n_graphs=n_graphs)
+    data = tmp_path / "data.json"
+    main(["generate", "--spec", str(spec), "--out", str(data)])
+    cfg = TrainConfig(h=8, **config)
+    store = init_model_params(cfg, 16, cfg.seed)
+    base = tmp_path / "checkpoint"
+    save_checkpoint(base, store, cfg, AdamState.init(store), epoch=0)
+    return base, data
 
 
 class TestUsage:
@@ -167,10 +185,97 @@ class TestGenerateTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_dump_traces_follow_the_scored_solve(self, tmp_path):
+        base, data = init_checkpoint(tmp_path, n_graphs=8, agent_mode="hard", phi="sigmoid")
+        traces = tmp_path / "traces.json"
+        solver_csv = tmp_path / "solver.csv"
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data),
+                     "--dump-traces", str(traces), "--dump-solver", str(solver_csv)]) == EXIT_OK
+        steps_by_id = {r["graph_id"]: r["steps"] for r in json.loads(traces.read_text())}
+        rows_by_id = {}
+        for line in solver_csv.read_text().splitlines()[1:]:
+            graph_id, _, residual = line.split(",")
+            rows_by_id.setdefault(graph_id, []).append(residual)
+        store, config, _, _ = load_checkpoint(base)
+        graphs = read_graph_file(data)
+        assert set(steps_by_id) == {g.id for g in graphs}
+        for g in graphs:
+            _, cache = forward(prepare_graph(g, config), store, config, mode="eval",
+                               seed=derive_seed(config.seed, "eval", g.id, 0))
+            steps = steps_by_id[g.id]
+            assert len(steps) == cache.solver_result.iterations
+            assert [f"{s['residual']:.10g}" for s in steps] == rows_by_id[g.id]
+            assert [s.get("stop") for s in steps] == [None] * (len(steps) - 1) + [cache.termination]
+            assert all(0 <= s["selected"] < g.n for s in steps)
+            if cache.termination != "max-steps":
+                assert steps[-1]["selected"] == int(np.argmax(cache.step_cache.z))
+
+    def test_eval_averages_the_checkpoint_noise_seeds(self, tmp_path, capsys):
+        # on these 6 eval graphs one noise draw gives AUC 0.333, three give 0.556
+        graphs = generate_dataset(SyntheticSpec(n_graphs=12, node_count_range=(13, 15),
+                                                chain_length=8, vocab_size=16, seed=3))
+        config = TrainConfig(h=8, epochs=1, batch_size=4, eval_noise_seeds=3,
+                             solver=SolverConfig(max_iter=10))
+        result = train(graphs[:6], config, graphs[6:], vocab_size=16)
+        base = tmp_path / "checkpoint"
+        save_checkpoint(base, result.store, config, result.adam, epoch=result.last_epoch)
+        data = tmp_path / "eval.json"
+        write_graph_file(graphs[6:], data)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_OK
+        last = [r for r in result.history if r.split == "eval"][-1]
+        r = last.report
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"loss={last.loss:.6f} accuracy={r.accuracy:.4f} precision={r.precision:.4f} "
+            f"recall={r.recall:.4f} f1={r.f1:.4f} auc={r.auc:.4f}")
+
     def test_infeasible_spec_is_data_error(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", chain_length=20)
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_DATA
+
+
+def _edit_manifest(edit):
+    def damage(manifest, blob):
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+    return damage
+
+
+CHECKPOINT_DAMAGE = {
+    "version": _edit_manifest(lambda doc: doc.update(format_version=2)),
+    "solver-field": _edit_manifest(lambda doc: doc["config"]["solver"].update(momentum=0.5)),
+    "truncated-json": lambda manifest, blob: manifest.write_text(manifest.read_text()[:200]),
+    "short-blob": lambda manifest, blob: blob.write_bytes(blob.read_bytes()[:-4]),
+}
+
+
+class TestCheckpointFiles:
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_bad_checkpoint_is_data_error(self, tmp_path, capsys, damage):
+        base, data = init_checkpoint(tmp_path)
+        CHECKPOINT_DAMAGE[damage](base.with_suffix(".json"), base.with_suffix(".bin"))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ")
+
+    def test_manifest_with_solver_kappa_loads_and_scores_the_same(self, tmp_path, capsys):
+        # checkpoints written while SolverConfig had a kappa field carry it
+        base, data = init_checkpoint(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        manifest = base.with_suffix(".json")
+        doc = json.loads(manifest.read_text())
+        doc["config"]["solver"]["kappa"] = 0.9
+        manifest.write_text(json.dumps(doc, indent=1))
+        _, config, _, _ = load_checkpoint(base)
+        assert config.solver == SolverConfig()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
 
 class TestChecks:

@@ -1,20 +1,15 @@
-"""Executor: program state, Gumbel agent, gating, transition cell, termination."""
+"""Executor: program state, Gumbel agent, gating, and the transition `JointStep`."""
 
 import numpy as np
 import pytest
 
 from cfgexec.executor import (
-    AgentConfig,
-    ExecutionState,
     JointStep,
-    check_termination,
-    deq_cell,
+    agent_gate,
     gate_adjacency,
-    gumbel_sample,
     gumbel_softmax,
     one_hot,
     program_state,
-    run_execution,
 )
 from cfgexec.graphs import renormalize
 from cfgexec.solver import pf_eigenvalue, project_wellposed
@@ -26,6 +21,20 @@ def random_a_hat(rng, n):
     a = (rng.random((n, n)) < 0.4).astype(float)
     np.fill_diagonal(a, 0.0)
     return renormalize(a)
+
+
+def sample(s, tau, rng, hard):
+    """Draw Gumbel noise from rng; return the relaxed sample z and the agent gate."""
+    z = gumbel_softmax(s, rng.gumbel(size=s.shape), tau)
+    return z, agent_gate(z, hard)
+
+
+def transition(a_hat, u, w, omega, bias, w_s=None, noise=None, tau=1.0):
+    """JointStep with a constant program state (w_s = 0) unless w_s is given."""
+    n, h = u.shape
+    return JointStep(a_hat=a_hat, u=u, w_s=np.zeros((h, 1)) if w_s is None else w_s,
+                     w=w, omega=omega, bias=bias,
+                     noise=np.zeros(n) if noise is None else noise, tau=tau)
 
 
 class TestProgramState:
@@ -55,20 +64,20 @@ class TestGumbel:
         rng = np.random.default_rng(2)
         for _ in range(20):
             s = rng.uniform(0.05, 0.95, size=6)
-            z, _ = gumbel_sample(s, 1e6, rng, hard=False)
+            z, _ = sample(s, 1e6, rng, hard=False)
             assert np.abs(z - 1.0 / 6.0).max() < 1e-3
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
         s = rng.uniform(0.1, 0.9, size=5)
-        z, a = gumbel_sample(s, 0.7, rng, hard=False)
+        z, a = sample(s, 0.7, rng, hard=False)
         assert z.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(a, z / z.max())
         assert a.max() == 1.0
 
     def test_hard_sample_one_hot(self):
         rng = np.random.default_rng(4)
-        z, a = gumbel_sample(np.array([0.3, 0.5, 0.2]), 0.5, rng, hard=True)
+        z, a = sample(np.array([0.3, 0.5, 0.2]), 0.5, rng, hard=True)
         assert sorted(a.tolist()) == [0.0, 0.0, 1.0]
         assert a[np.argmax(z)] == 1.0
 
@@ -81,13 +90,6 @@ class TestGumbel:
         logits = (np.log(s) + noise) / 0.1
         counts = np.bincount(np.argmax(logits, axis=1), minlength=3) / draws
         np.testing.assert_allclose(counts, s / s.sum(), atol=0.02)
-
-    def test_mask_zeroes_disallowed(self):
-        rng = np.random.default_rng(6)
-        s = np.array([0.4, 0.4, 0.2])
-        z = gumbel_softmax(s, rng.gumbel(size=3), 1.0, allowed=np.array([True, False, True]))
-        assert z[1] == 0.0
-        assert z.sum() == pytest.approx(1.0)
 
 
 class TestGate:
@@ -124,7 +126,7 @@ class TestGate:
             a_hat = random_a_hat(rng, 6)
             assert dense_spectral_radius(a_hat) == pytest.approx(1.0, abs=1e-9)
             for hard in (False, True):
-                z, a = gumbel_sample(rng.uniform(0.05, 0.95, size=6), 0.5, rng, hard=hard)
+                z, a = sample(rng.uniform(0.05, 0.95, size=6), 0.5, rng, hard=hard)
                 assert a.max() == 1.0 and a.min() >= 0.0
                 for axis in ("recv", "send"):
                     gated = gate_adjacency(a_hat, a, gate_axis=axis)
@@ -139,26 +141,29 @@ class TestGate:
 
 
 class TestDeqCell:
+    """The transition X' = A~^T X W + phi(U Omega + b), computed by `JointStep`."""
+
     def test_zero_adjacency_is_pure_injection(self):
         rng = np.random.default_rng(12)
         n, h = 4, 3
         u = rng.normal(size=(n, h))
         x = rng.normal(size=(n, h))
-        out = deq_cell(x, u, rng.normal(size=(h, h)), np.eye(h), np.zeros(h),
-                       np.zeros((n, n)))
-        np.testing.assert_allclose(out, np.tanh(u), atol=1e-12)
+        step = transition(np.zeros((n, n)), u, rng.normal(size=(h, h)), np.eye(h), np.zeros(h),
+                          w_s=rng.normal(size=(h, 1)), noise=rng.gumbel(size=n))
+        np.testing.assert_allclose(step(x), np.tanh(u), atol=1e-12)
 
     def test_zero_weights_give_bias(self):
         n, h = 3, 2
         bias = np.array([0.3, -0.4])
-        out = deq_cell(np.ones((n, h)), np.ones((n, h)), np.zeros((h, h)),
-                       np.zeros((h, h)), bias, np.ones((n, n)) * 0.2)
+        step = transition(np.ones((n, n)) * 0.2, np.ones((n, h)), np.zeros((h, h)),
+                          np.zeros((h, h)), bias)
+        out = step(np.ones((n, h)))
         np.testing.assert_allclose(out, np.tanh(bias)[None, :].repeat(n, 0), atol=1e-12)
 
     def test_single_node_fixed_point_matches_bisection(self):
-        # n=1, h=1: solve x = x*w + tanh(u*om) by bisection as the oracle
+        # n=1, h=1: the agent's gate on the one node is 1, so the transition
+        # is x = x*w + tanh(u*om); solve it by bisection as the oracle
         w, om, u = 0.6, 0.8, 0.35
-        a_tilde = np.array([[1.0]])
 
         def f(x):
             return x * w + np.tanh(u * om)
@@ -171,64 +176,42 @@ class TestDeqCell:
             else:
                 hi = mid
         x_star_oracle = 0.5 * (lo + hi)
+        step = transition(np.array([[1.0]]), np.array([[u]]), np.array([[w]]),
+                          np.array([[om]]), np.zeros(1), w_s=np.array([[0.5]]))
         x = np.zeros((1, 1))
         for _ in range(500):
-            x = deq_cell(x, np.array([[u]]), np.array([[w]]), np.array([[om]]),
-                         np.zeros(1), a_tilde)
+            x = step(x)
         assert x[0, 0] == pytest.approx(x_star_oracle, abs=1e-9)
 
     def test_contraction_after_projection(self):
         rng = np.random.default_rng(13)
         n, h = 5, 4
         a_hat = random_a_hat(rng, n)
-        a = rng.uniform(0.1, 1.0, size=n)
+        noise = rng.gumbel(size=n)
+        # with w_s = 0 the program state is constant, so the agent's gate is
+        # the same at every X and the transition is affine in X
+        a = agent_gate(gumbel_softmax(np.full(n, 0.5), noise, 1.0), hard=False)
         gated = gate_adjacency(a_hat, a)
         lam = pf_eigenvalue(gated)
         w = project_wellposed(rng.normal(size=(h, h)) * 2.0, lam, 0.9)
         u = rng.normal(size=(n, h))
         om = rng.normal(size=(h, h)) * 0.3
         b = rng.normal(size=h) * 0.1
+        step = transition(a_hat, u, w, om, b, noise=noise)
         kappa = np.abs(w).sum(axis=1).max() * lam
         assert kappa < 0.9 + 1e-9
-        # the cell is affine in X with linear part X -> gated^T X W, whose
-        # spectral radius lambda * rho(W) <= lambda * ||W||_inf bounds the
-        # asymptotic contraction rate of the iteration
+        # the linear part X -> gated^T X W has spectral radius
+        # lambda * rho(W) <= lambda * ||W||_inf, which bounds the asymptotic
+        # contraction rate of the iteration
         assert dense_spectral_radius(np.kron(gated.T, w.T)) <= 0.9 + 1e-9
         for _ in range(10):
             x1 = rng.normal(size=(n, h))
             x2 = rng.normal(size=(n, h))
             gap0 = np.abs(x1 - x2).max()
             for _ in range(200):
-                x1 = deq_cell(x1, u, w, om, b, gated)
-                x2 = deq_cell(x2, u, w, om, b, gated)
+                x1 = step(x1)
+                x2 = step(x2)
             assert np.abs(x1 - x2).max() <= 1e-6 * gap0
-
-
-class TestTermination:
-    def make_state(self, selected, residual, step, n=4):
-        a = one_hot(selected, n, np.float64)
-        return ExecutionState(X=np.zeros((n, 2)), s=np.full(n, 0.5), z=np.full(n, 0.25),
-                              a=a, A_gated=np.zeros((n, n)), step=step, residual=residual)
-
-    def test_exit_reached(self):
-        state = self.make_state(selected=2, residual=1.0, step=1)
-        assert check_termination(state, {2}, 1e-5, 50) == "exit-reached"
-
-    def test_equilibrium(self):
-        state = self.make_state(selected=0, residual=0.0, step=3)
-        assert check_termination(state, {2}, 1e-5, 50) == "equilibrium"
-
-    def test_max_steps(self):
-        state = self.make_state(selected=0, residual=1.0, step=50)
-        assert check_termination(state, {2}, 1e-5, 50) == "max-steps"
-
-    def test_continue(self):
-        state = self.make_state(selected=0, residual=1.0, step=1)
-        assert check_termination(state, {2}, 1e-5, 50) is None
-
-    def test_soft_mode_ignores_exit(self):
-        state = self.make_state(selected=2, residual=1.0, step=1)
-        assert check_termination(state, {2}, 1e-5, 50, hard=False) is None
 
 
 class TestStraightThrough:
@@ -271,7 +254,7 @@ class TestStraightThrough:
         s = program_state(x, w_s)
         z = gumbel_softmax(s, noise, 0.8)
         gated = gate_adjacency(a_hat, z / z.max())
-        expected = deq_cell(x, u, w, om, b, gated)
+        expected = (gated.T @ x) @ w + np.tanh(u @ om + b)
         np.testing.assert_allclose(step(x), expected, atol=1e-12)
 
 
@@ -317,39 +300,3 @@ class TestVjp:
             num = ((JointStep(**plus)(x) * v).sum() - (JointStep(**minus)(x) * v).sum()) / (2 * eps)
             assert num == pytest.approx(float((grads[key] * d).sum()), rel=1e-5, abs=1e-10), name
 
-
-class TestRunExecution:
-    def test_trace_deterministic_and_terminates(self):
-        rng = np.random.default_rng(18)
-        n, h = 5, 3
-        a = np.zeros((n, n))
-        for i in range(n - 1):
-            a[i, i + 1] = 1.0
-        a_hat = renormalize(a)
-        params = {"ws": rng.normal(size=(h, 1)), "W": rng.normal(size=(h, h)) * 0.3,
-                  "Om": rng.normal(size=(h, h)) * 0.3, "cb": np.zeros(h)}
-        u = rng.normal(size=(n, h))
-        agent = AgentConfig(mode="hard", tau=1.0, max_steps=20)
-        state1, trace1 = run_execution(a_hat, u, params, agent, {n - 1}, 1e-6, seed=7)
-        state2, trace2 = run_execution(a_hat, u, params, agent, {n - 1}, 1e-6, seed=7)
-        assert trace1 == trace2
-        assert trace1[-1].get("stop") in ("exit-reached", "equilibrium", "max-steps")
-        assert all(0 <= rec["selected"] < n for rec in trace1)
-
-    def test_successor_mask_restricts_moves(self):
-        rng = np.random.default_rng(19)
-        n, h = 6, 2
-        a = np.zeros((n, n))
-        for i in range(n - 1):
-            a[i, i + 1] = 1.0
-        a_hat = renormalize(a)
-        params = {"ws": rng.normal(size=(h, 1)), "W": rng.normal(size=(h, h)) * 0.2,
-                  "Om": rng.normal(size=(h, h)) * 0.2, "cb": np.zeros(h)}
-        u = rng.normal(size=(n, h))
-        agent = AgentConfig(mode="hard", tau=0.3, max_steps=30, successor_mask=True)
-        _, trace = run_execution(a_hat, u, params, agent, {n - 1}, 1e-6, seed=3)
-        prev = None
-        for rec in trace:
-            if prev is not None:
-                assert a_hat[prev, rec["selected"]] > 0
-            prev = rec["selected"]

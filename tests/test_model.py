@@ -1,6 +1,8 @@
 """Full-model forward/backward: determinism, equilibrium uniqueness, implicit
 gradients against unrolled backprop and finite differences, memory contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,27 @@ class TestForward:
             assert np.isfinite(logit)
             assert cache.termination in ("equilibrium", "exit-reached", "max-steps")
             assert sorted(set(cache.step_cache.a.tolist())) in ([0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("case", ["equilibrium", "exit-reached", "max-steps"])
+    def test_trace_records_one_selection_per_iteration(self, case):
+        cfg, graph, bundle, store = tiny_setup(5)
+        if case == "exit-reached":
+            # every block an exit: a hard agent stops at its first iterate
+            cfg.agent_mode = "hard"
+            bundle = prepare_graph(replace(graph, exits=frozenset(range(graph.n))), cfg)
+        if case == "max-steps":
+            cfg.solver = SolverConfig(max_iter=3, tol=1e-30)
+        logit, cache = forward(bundle, store, cfg, mode="eval", seed=1, keep_trace=True)
+        assert cache.termination == case
+        assert len(cache.selected) == len(cache.solver_result.residuals) \
+            == cache.solver_result.iterations
+        assert all(0 <= sel < graph.n for sel in cache.selected)
+        if case != "max-steps":
+            assert cache.selected[-1] == int(np.argmax(cache.step_cache.z))
+        plain_logit, plain = forward(bundle, store, cfg, mode="eval", seed=1)
+        assert plain_logit == logit
+        assert plain.selected == []
+        assert plain.solver_result.residuals == cache.solver_result.residuals[-1:]
 
 
 class TestGatedEigenvalue:
