@@ -20,6 +20,7 @@ Perron-Frobenius eigenvalue never exceeds that of the renormalized adjacency.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,13 @@ class JointStep:
         inj_pre = self.u @ self.omega + self.bias[None, :]
         self.inj = act(inj_pre)
         self.inj_grad = dact(self.inj, inj_pre)
+
+    def with_noise(self, noise: np.ndarray) -> "JointStep":
+        """The same map under another noise draw, sharing the injected term,
+        which does not depend on the noise."""
+        step = copy.copy(self)
+        step.noise = noise
+        return step
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, StepCache]:
         s = program_state(x, self.w_s)

@@ -99,6 +99,9 @@ PARAM_SHAPES = {
 
 _GRU_MATS = ("Wr", "Wu", "Wc", "Ur", "Uu", "Uc")
 _GRU_VECS = ("br", "bu", "bc")
+# every parameter init_model_params creates
+PARAM_NAMES = ("emb", *(f"{prefix}_{name}" for prefix in ("gruf", "grub")
+                        for name in _GRU_MATS + _GRU_VECS), "mix_W", "mix_b", *PARAM_SHAPES)
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> ParamStore:
@@ -228,8 +231,8 @@ class ForwardCache:
 
 
 def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
-            mode: str = "eval", seed: int = 0,
-            keep_trace: bool = False) -> tuple[float, ForwardCache]:
+            mode: str = "eval", seed: int = 0, keep_trace: bool = False,
+            reuse: ForwardCache | None = None) -> tuple[float, ForwardCache]:
     """Run the full pipeline for one graph; returns (logit, cache).
 
     The Gumbel noise vector is drawn once per call from the seeded stream and
@@ -241,29 +244,41 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
     cache size does not depend on how many iterations the solve took. The
     gated PF eigenvalue, which only the training projection reads, is
     computed in train mode alone; eval caches hold None.
+
+    In eval mode the encoder output and the injected term depend on the
+    bundle and the parameters but not on the seed. `reuse`, an eval cache of
+    this bundle under the same parameters and config, supplies both, so a
+    forward under another noise draw runs only the agent and the solve.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     p = store.params
     dtype = config.dtype
-    x_emb = embed(bundle.ids, p["emb"])
-    h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
-    u0, pool_cache = time_pool(h_seq, config.pool, bundle.mask)
-    keep = None
-    if mode == "train" and config.dropout > 0.0:
-        keep = dropout_mask(u0.shape, config.dropout,
-                            np.random.default_rng(derive_seed(seed, "dropout")), dtype)
-        u = u0 * keep
-    else:
-        u = u0
-    ensure_finite("encoder output", u)
     noise = np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
         size=bundle.n).astype(dtype)
-    step = JointStep(
-        a_hat=bundle.a_hat, u=u, w_s=p["ws"], w=p["W"], omega=p["Om"], bias=p["cb"],
-        noise=noise, tau=config.tau, hard=config.agent_mode == "hard",
-        phi=config.phi, gate_axis=config.gate_axis,
-    )
+    if reuse is not None:
+        if mode != "eval" or reuse.mode != "eval" or reuse.bundle is not bundle:
+            raise ValueError("reuse takes an eval cache of the same bundle, in eval mode")
+        gru_cache, pool_cache, keep = reuse.gru, reuse.pool, None
+        step = reuse.step.with_noise(noise)
+    else:
+        x_emb = embed(bundle.ids, p["emb"])
+        h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
+        u0, pool_cache = time_pool(h_seq, config.pool, bundle.mask)
+        keep = None
+        if mode == "train" and config.dropout > 0.0:
+            keep = dropout_mask(u0.shape, config.dropout,
+                                np.random.default_rng(derive_seed(seed, "dropout")), dtype)
+            u = u0 * keep
+        else:
+            u = u0
+        ensure_finite("encoder output", u)
+        step = JointStep(
+            a_hat=bundle.a_hat, u=u, w_s=p["ws"], w=p["W"], omega=p["Om"], bias=p["cb"],
+            noise=noise, tau=config.tau, hard=config.agent_mode == "hard",
+            phi=config.phi, gate_axis=config.gate_axis,
+        )
+    u = step.u
     tol = config.solver.resolve_tol(dtype)
     exits = bundle.graph.exits
     hard = config.agent_mode == "hard"

@@ -10,6 +10,7 @@ verification precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -36,12 +37,17 @@ def ensure_finite(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise.
+
+    exp(min(x, -x)) is the exponential of both branches and never
+    overflows, so computing both branches over the whole array and selecting
+    gives the masked two-branch form bit for bit, without its boolean
+    indexing. (minimum returns x itself when x is NaN, so even a NaN keeps
+    its sign bit, which exp(-|x|) would set.)
+    """
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -185,31 +191,50 @@ class GruStepCache:
     mask: np.ndarray
 
 
+# parameter name suffixes in the argument order of _gru_step
+_GRU_KEYS = ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wc", "Uc", "bc")
+
+
+@functools.lru_cache(maxsize=16)
+def _gru_names(prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{k}" for k in _GRU_KEYS)
+
+
+def _gru_step(x: np.ndarray, h_prev: np.ndarray, wr: np.ndarray, ur: np.ndarray,
+              br: np.ndarray, wu: np.ndarray, uu: np.ndarray, bu: np.ndarray,
+              wc: np.ndarray, uc: np.ndarray,
+              bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    r = sigmoid(x @ wr + h_prev @ ur + br)
+    u = sigmoid(x @ wu + h_prev @ uu + bu)
+    c = np.tanh(x @ wc + (r * h_prev) @ uc + bc)
+    h = (1.0 - u) * h_prev + u * c
+    return h, r, u, c
+
+
 def gru_cell(x: np.ndarray, h_prev: np.ndarray, p: Mapping[str, np.ndarray],
              prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One GRU step: returns (h_new, r, u, c); the gate values feed the backward."""
-    r = sigmoid(x @ p[f"{prefix}_Wr"] + h_prev @ p[f"{prefix}_Ur"] + p[f"{prefix}_br"])
-    u = sigmoid(x @ p[f"{prefix}_Wu"] + h_prev @ p[f"{prefix}_Uu"] + p[f"{prefix}_bu"])
-    c = np.tanh(x @ p[f"{prefix}_Wc"] + (r * h_prev) @ p[f"{prefix}_Uc"] + p[f"{prefix}_bc"])
-    h = (1.0 - u) * h_prev + u * c
-    return h, r, u, c
+    return _gru_step(x, h_prev, *(p[name] for name in _gru_names(prefix)))
 
 
 def _gru_direction(x: np.ndarray, mask: np.ndarray, p: Mapping[str, np.ndarray],
                    prefix: str, reverse: bool) -> tuple[np.ndarray, list[GruStepCache]]:
     n, v, h_in = x.shape
-    h_dim = p[f"{prefix}_Ur"].shape[0]
+    weights = [p[name] for name in _gru_names(prefix)]
+    h_dim = weights[1].shape[0]
     h = np.zeros((n, h_dim), dtype=x.dtype)
     out = np.zeros((n, v, h_dim), dtype=x.dtype)
+    masks = mask.astype(x.dtype)
     caches: list[GruStepCache] = []
     steps = range(v - 1, -1, -1) if reverse else range(v)
     for t in steps:
-        m = mask[:, t].astype(x.dtype)[:, None]
+        m = masks[:, t, None]
         xt = x[:, t, :]
-        h_new, r, u, c = gru_cell(xt, h, p, prefix)
+        h_new, r, u, c = _gru_step(xt, h, *weights)
         caches.append(GruStepCache(xt, h, r, u, c, m))
-        out[:, t, :] = m * h_new
-        h = m * h_new + (1.0 - m) * h
+        kept = m * h_new
+        out[:, t, :] = kept
+        h = kept + (1.0 - m) * h
     return out, caches
 
 
@@ -218,10 +243,12 @@ def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
                            reverse: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """BPTT for one direction; returns (dx, parameter grads)."""
     n, v, _ = d_out.shape
-    grads = {f"{prefix}_{k}": np.zeros_like(p[f"{prefix}_{k}"])
-             for k in ("Wr", "Wu", "Wc", "Ur", "Uu", "Uc", "br", "bu", "bc")}
+    names = _gru_names(prefix)
+    grads = {name: np.zeros_like(p[name]) for name in names}
+    g_wr, g_ur, g_br, g_wu, g_uu, g_bu, g_wc, g_uc, g_bc = (grads[name] for name in names)
+    wr_t, ur_t, _, wu_t, uu_t, _, wc_t, uc_t, _ = (p[name].T for name in names)
     dx = np.zeros((n, v, caches[0].x.shape[1]), dtype=d_out.dtype)
-    dh_carry = np.zeros((n, p[f"{prefix}_Ur"].shape[0]), dtype=d_out.dtype)
+    dh_carry = np.zeros((n, ur_t.shape[1]), dtype=d_out.dtype)
     steps = range(v - 1, -1, -1) if reverse else range(v)
     for idx, t in reversed(list(enumerate(steps))):
         cch = caches[idx]
@@ -230,27 +257,30 @@ def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
         dh_prev = dh_carry * (1.0 - m)
         du = dh_new * (cch.c - cch.h_prev)
         dc = dh_new * cch.u
-        dh_prev_cell = dh_new * (1.0 - cch.u)
+        one_minus_u = 1.0 - cch.u
+        dh_prev_cell = dh_new * one_minus_u
         dpre_c = dc * (1.0 - cch.c * cch.c)
-        grads[f"{prefix}_Wc"] += cch.x.T @ dpre_c
-        grads[f"{prefix}_Uc"] += (cch.r * cch.h_prev).T @ dpre_c
-        grads[f"{prefix}_bc"] += dpre_c.sum(axis=0)
-        drh = dpre_c @ p[f"{prefix}_Uc"].T
+        x_t = cch.x.T
+        h_prev_t = cch.h_prev.T
+        g_wc += x_t @ dpre_c
+        g_uc += (cch.r * cch.h_prev).T @ dpre_c
+        g_bc += dpre_c.sum(axis=0)
+        drh = dpre_c @ uc_t
         dr = drh * cch.h_prev
         dh_prev_cell = dh_prev_cell + drh * cch.r
-        dxt = dpre_c @ p[f"{prefix}_Wc"].T
-        dpre_u = du * cch.u * (1.0 - cch.u)
-        grads[f"{prefix}_Wu"] += cch.x.T @ dpre_u
-        grads[f"{prefix}_Uu"] += cch.h_prev.T @ dpre_u
-        grads[f"{prefix}_bu"] += dpre_u.sum(axis=0)
-        dxt += dpre_u @ p[f"{prefix}_Wu"].T
-        dh_prev_cell = dh_prev_cell + dpre_u @ p[f"{prefix}_Uu"].T
+        dxt = dpre_c @ wc_t
+        dpre_u = du * cch.u * one_minus_u
+        g_wu += x_t @ dpre_u
+        g_uu += h_prev_t @ dpre_u
+        g_bu += dpre_u.sum(axis=0)
+        dxt += dpre_u @ wu_t
+        dh_prev_cell = dh_prev_cell + dpre_u @ uu_t
         dpre_r = dr * cch.r * (1.0 - cch.r)
-        grads[f"{prefix}_Wr"] += cch.x.T @ dpre_r
-        grads[f"{prefix}_Ur"] += cch.h_prev.T @ dpre_r
-        grads[f"{prefix}_br"] += dpre_r.sum(axis=0)
-        dxt += dpre_r @ p[f"{prefix}_Wr"].T
-        dh_prev_cell = dh_prev_cell + dpre_r @ p[f"{prefix}_Ur"].T
+        g_wr += x_t @ dpre_r
+        g_ur += h_prev_t @ dpre_r
+        g_br += dpre_r.sum(axis=0)
+        dxt += dpre_r @ wr_t
+        dh_prev_cell = dh_prev_cell + dpre_r @ ur_t
         dx[:, t, :] = dxt
         dh_carry = dh_prev + dh_prev_cell
     return dx, grads

@@ -109,25 +109,42 @@ def anderson(
     the next iterate as sum_i alpha_i f(x_i). A singular least-squares step
     falls back to the plain update for that iteration (recorded in
     `fallback_steps`).
+
+    The window lives in preallocated row buffers, oldest first, shifted when
+    full. BLAS sums the small products below in an order that depends on
+    operand layout, so the layouts are fixed: the difference matrix D is a
+    C-contiguous (N, k-1) f64 array, the newest residual enters D^T g as a
+    strided vector, and the combination multiplies a C-contiguous (N, k)
+    array of f(x)'s dtype. Norms are sqrt(v . v) in the iterate's dtype, as
+    np.linalg.norm computes them.
     """
     shape = np.asarray(x0).shape
     x = np.asarray(x0).ravel().copy()
     tol = cfg.resolve_tol(x.dtype) if tol is None else tol
-    fxs: list[np.ndarray] = []  # window of f(x_i), aligned with gs
-    gs: list[np.ndarray] = []  # window of residuals f(x_i) - x_i
+    n, m = x.size, cfg.m
+    g_rows = np.empty((m, n))  # window of residuals f(x_i) - x_i, solved in f64
+    fx_rows: np.ndarray | None = None  # window of f(x_i), aligned with g_rows
+    g_last = np.empty((n, 2))[:, 0]  # the newest residual, as a strided vector
+    eyes: dict[int, np.ndarray] = {}
+    k = 0
     residuals: list[float] = []
     fallback_steps: list[int] = []
     for it in range(1, cfg.max_iter + 1):
         fx = f(x.reshape(shape)).ravel()
-        fxs.append(fx)
-        gs.append(fx - x)
-        if len(fxs) > cfg.m:
-            fxs.pop(0)
-            gs.pop(0)
-        gap = float(np.linalg.norm(gs[-1]))
-        res = float(gap / (np.linalg.norm(x) + 1e-12))
+        if fx_rows is None:
+            fx_rows = np.empty((m, n), dtype=fx.dtype)
+        g = fx - x
+        if k == m:
+            g_rows[:-1] = g_rows[1:]
+            fx_rows[:-1] = fx_rows[1:]
+        else:
+            k += 1
+        g_rows[k - 1] = g
+        fx_rows[k - 1] = fx
+        gap = float(np.sqrt(g.dot(g)))
+        res = float(gap / (np.sqrt(x.dot(x)) + 1e-12))
         residuals.append(res)
-        if gap > DIVERGENCE_LIMIT or not np.isfinite(gap):
+        if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
             raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
         if res < tol:
             return SolverResult(fx.reshape(shape), residuals, it, True, fallback_steps)
@@ -136,15 +153,16 @@ def anderson(
             if reason is not None:
                 return SolverResult(fx.reshape(shape), residuals, it, False,
                                     fallback_steps, stop_reason=reason)
-        k = len(gs)
         if k == 1:
             x = fx.copy()
             continue
-        G = np.stack(gs, axis=1).astype(np.float64)  # (N, k); solve in f64 for stability
-        g_last = G[:, -1]
-        D = G[:, :-1] - g_last[:, None]
+        g_last[:] = g_rows[k - 1]
+        D = (g_rows[: k - 1] - g_rows[k - 1]).T.copy()
         gram = D.T @ D
-        lhs = gram + cfg.ridge * (float(np.trace(gram)) / (k - 1)) * np.eye(k - 1)
+        eye = eyes.get(k - 1)
+        if eye is None:
+            eye = eyes[k - 1] = np.eye(k - 1)
+        lhs = gram + cfg.ridge * (float(gram.trace()) / (k - 1)) * eye
         rhs = -(D.T @ g_last)
         try:
             beta = np.linalg.solve(lhs, rhs)
@@ -154,8 +172,10 @@ def anderson(
             fallback_steps.append(it)
             x = fx.copy()
         else:
-            alpha = np.concatenate([beta, [1.0 - beta.sum()]]).astype(fx.dtype)
-            x = np.stack(fxs, axis=1) @ alpha
+            alpha = np.empty(k, dtype=fx.dtype)
+            alpha[:-1] = beta
+            alpha[-1] = 1.0 - beta.sum()
+            x = fx_rows[:k].T.copy() @ alpha
     return SolverResult(x.reshape(shape), residuals, len(residuals), False, fallback_steps)
 
 

@@ -9,6 +9,7 @@ All randomness (shuffling, Gumbel noise, dropout) is derived statelessly from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -18,6 +19,7 @@ import numpy as np
 from .graphs import CfgGraph, GraphValidationError
 from .metrics import MetricsReport, compute_metrics
 from .model import (
+    PARAM_NAMES,
     GraphBundle,
     ModelConfig,
     bce_with_logit,
@@ -157,42 +159,59 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamStat
         manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {manifest.get('format_version')!r}")
+    missing = [k for k in ("config", "dtype", "epoch", "adam_t", "tensors") if k not in manifest]
+    if missing:
+        raise CheckpointError(f"checkpoint manifest lacks {', '.join(missing)}")
     blob = base.with_suffix(".bin").read_bytes()
-    cfg_dict = dict(manifest["config"])
-    solver = dict(cfg_dict["solver"])
-    # earlier checkpoints carry SolverConfig.kappa, which nothing read (the
-    # projection uses ModelConfig.kappa); dropping it loads them unchanged
-    solver.pop("kappa", None)
     try:
+        cfg_dict = dict(manifest["config"])
+        solver = dict(cfg_dict["solver"])
+        # earlier checkpoints carry SolverConfig.kappa, which nothing read (the
+        # projection uses ModelConfig.kappa); dropping it loads them unchanged
+        solver.pop("kappa", None)
         cfg_dict["solver"] = SolverConfig(**solver)
         config = TrainConfig(**cfg_dict)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint config: {exc}") from exc
+        adam_t, epoch = int(manifest["adam_t"]), int(manifest["epoch"])
+        lambda_ref = float(manifest.get("lambda_ref", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config: {exc!r}") from exc
+    if manifest["dtype"] not in ("<f4", "<f8"):
+        raise CheckpointError(f"checkpoint dtype {manifest['dtype']!r} is not <f4 or <f8")
     dtype = np.dtype(manifest["dtype"])
-    params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
+    if not isinstance(manifest["tensors"], list):
+        raise CheckpointError("checkpoint tensors is not a list")
+    tensors: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
     for rec in manifest["tensors"]:
-        shape = tuple(rec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = rec["offset"]
+        try:
+            name, role, start = str(rec["name"]), str(rec["role"]), int(rec["offset"])
+            shape = tuple(int(d) for d in rec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint tensor record {rec!r}: {exc!r}") from exc
+        if role not in tensors:
+            raise CheckpointError(f"tensor {name!r} has unknown role {role!r}")
+        if min(shape, default=0) < 0:
+            raise CheckpointError(f"tensor {name!r} ({role}) has shape {shape}")
+        count = math.prod(shape)
         end = start + count * dtype.itemsize
         if start < 0 or end > len(blob):
-            raise CheckpointError(f"tensor {rec['name']!r} ({rec['role']}) spans bytes "
+            raise CheckpointError(f"tensor {name!r} ({role}) spans bytes "
                                   f"{start}-{end}, outside the {len(blob)}-byte blob")
-        arr = np.frombuffer(blob, dtype=dtype, count=count,
-                            offset=start).reshape(shape).copy()
-        target = {"param": params, "adam_m": adam_m, "adam_v": adam_v}[rec["role"]]
-        target[rec["name"]] = arr
+        tensors[role][name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                            offset=start).reshape(shape).copy()
+    params = tensors["param"]
+    absent = [name for name in PARAM_NAMES if name not in params]
+    if absent:
+        raise CheckpointError(f"checkpoint lacks parameters {', '.join(absent)}")
     frozen = np.zeros(params["emb"].shape, dtype=bool)
     frozen[0] = True
     store = ParamStore(params=params, frozen={"emb": frozen})
-    adam = AdamState(m=adam_m, v=adam_v, t=manifest["adam_t"],
-                     lambda_ref=manifest.get("lambda_ref", 0.0))
-    return store, config, adam, int(manifest["epoch"])
+    adam = AdamState(m=tensors["adam_m"], v=tensors["adam_v"], t=adam_t, lambda_ref=lambda_ref)
+    return store, config, adam, epoch
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +261,8 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
 
     noise_seeds > 1 averages scores over that many frozen agent-noise draws
     per graph, which tightens metrics without touching determinism (the
-    seeds are derived from the config seed and graph id).
+    seeds are derived from the config seed and graph id). The draws share
+    the first draw's encoder pass, which eval mode makes seed-independent.
     """
     scores: list[float] = []
     labels: list[int] = []
@@ -251,11 +271,14 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
         if b.label is None:
             raise GraphValidationError("label-missing", f"graph {b.graph.id!r} has no label")
         probs = []
+        first = None
         for k in range(noise_seeds):
-            logit, _ = forward(b, store, config, mode="eval",
-                               seed=derive_seed(config.seed, seed_tag, b.graph.id, k))
+            logit, cache = forward(b, store, config, mode="eval",
+                                   seed=derive_seed(config.seed, seed_tag, b.graph.id, k),
+                                   reuse=first)
             probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
             if k == 0:
+                first = cache
                 losses.append(bce_with_logit(logit, b.label))
         scores.append(float(np.mean(probs)))
         labels.append(b.label)

@@ -25,7 +25,13 @@ from cfgexec.nn import (
     time_pool,
     time_pool_backward,
 )
-from cfgexec.solver import SolverConfig, anderson
+from cfgexec.solver import (
+    DIVERGENCE_LIMIT,
+    DivergenceError,
+    SolverConfig,
+    SolverResult,
+    anderson,
+)
 
 
 def dense_spectral_radius(m: np.ndarray) -> float:
@@ -56,6 +62,70 @@ def pf_eigenvalue_reference(matrix: np.ndarray, max_iter: int = 1000,
             break
         lam = lam_new
     return max(lam - 1.0, 0.0)
+
+
+def anderson_reference(f, x0, cfg: SolverConfig, tol=None, on_iterate=None) -> SolverResult:
+    """Anderson acceleration with the window held as lists, stacked into an
+    (N, k) matrix every step; the library keeps it in preallocated buffers
+    and must give the same bits."""
+    shape = np.asarray(x0).shape
+    x = np.asarray(x0).ravel().copy()
+    tol = cfg.resolve_tol(x.dtype) if tol is None else tol
+    fxs: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
+    residuals: list[float] = []
+    fallback_steps: list[int] = []
+    for it in range(1, cfg.max_iter + 1):
+        fx = f(x.reshape(shape)).ravel()
+        fxs.append(fx)
+        gs.append(fx - x)
+        if len(fxs) > cfg.m:
+            fxs.pop(0)
+            gs.pop(0)
+        gap = float(np.linalg.norm(gs[-1]))
+        res = float(gap / (np.linalg.norm(x) + 1e-12))
+        residuals.append(res)
+        if gap > DIVERGENCE_LIMIT or not np.isfinite(gap):
+            raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
+        if res < tol:
+            return SolverResult(fx.reshape(shape), residuals, it, True, fallback_steps)
+        if on_iterate is not None:
+            reason = on_iterate(fx.reshape(shape), it)
+            if reason is not None:
+                return SolverResult(fx.reshape(shape), residuals, it, False,
+                                    fallback_steps, stop_reason=reason)
+        k = len(gs)
+        if k == 1:
+            x = fx.copy()
+            continue
+        G = np.stack(gs, axis=1).astype(np.float64)
+        g_last = G[:, -1]
+        D = G[:, :-1] - g_last[:, None]
+        gram = D.T @ D
+        lhs = gram + cfg.ridge * (float(np.trace(gram)) / (k - 1)) * np.eye(k - 1)
+        rhs = -(D.T @ g_last)
+        try:
+            beta = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            beta = None
+        if beta is None or not np.isfinite(beta).all():
+            fallback_steps.append(it)
+            x = fx.copy()
+        else:
+            alpha = np.concatenate([beta, [1.0 - beta.sum()]]).astype(fx.dtype)
+            x = np.stack(fxs, axis=1) @ alpha
+    return SolverResult(x.reshape(shape), residuals, len(residuals), False, fallback_steps)
+
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """Two-branch sigmoid by boolean masks: 1 / (1 + e^-x) where x >= 0,
+    e^x / (1 + e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def l1_projection_bisection(v: np.ndarray, radius: float) -> np.ndarray:

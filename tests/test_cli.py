@@ -248,6 +248,15 @@ CHECKPOINT_DAMAGE = {
     "solver-field": _edit_manifest(lambda doc: doc["config"]["solver"].update(momentum=0.5)),
     "truncated-json": lambda manifest, blob: manifest.write_text(manifest.read_text()[:200]),
     "short-blob": lambda manifest, blob: blob.write_bytes(blob.read_bytes()[:-4]),
+    **{f"no-{key}": _edit_manifest(lambda doc, key=key: doc.pop(key))
+       for key in ("tensors", "config", "dtype", "adam_t", "epoch")},
+    "no-config-solver": _edit_manifest(lambda doc: doc["config"].pop("solver")),
+    "tensor-without-offset": _edit_manifest(lambda doc: doc["tensors"][0].pop("offset")),
+    "unknown-role": _edit_manifest(lambda doc: doc["tensors"][0].update(role="bias")),
+    "json-list": lambda manifest, blob: manifest.write_text(f"[{manifest.read_text()}]"),
+    "dtype-q9": _edit_manifest(lambda doc: doc.update(dtype="<q9")),
+    "no-emb": _edit_manifest(lambda doc: doc.update(tensors=[
+        rec for rec in doc["tensors"] if (rec["name"], rec["role"]) != ("emb", "param")])),
 }
 
 

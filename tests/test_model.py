@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfgexec.model import (
+    PARAM_NAMES,
     ModelConfig,
     bce_grad,
     bce_with_logit,
@@ -174,6 +175,11 @@ class TestGatedEigenvalue:
         gated = gate_adjacency(bundle.a_hat, cache.step_cache.a, cfg.gate_axis)
         assert cache.lambda_gated == pf_eigenvalue(gated, max_iter=80, tol=1e-6)
         assert 0.0 < cache.lambda_gated <= bundle.lambda_hat + 1e-6
+
+
+def test_param_names_are_the_initialized_parameters():
+    store = init_model_params(ModelConfig(h=4), vocab_size=8)
+    assert sorted(PARAM_NAMES) == sorted(store.params)
 
 
 class TestLambdaHat:

@@ -2,6 +2,7 @@
 finite-difference checker that keeps every backward honest."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cfgexec.nn import (
     time_pool_backward,
 )
 
-from oracles import scalar_gru_cell
+from oracles import scalar_gru_cell, sigmoid_reference
 
 
 def gru_params(rng, h, prefix):
@@ -55,6 +56,34 @@ class TestActivations:
         assert np.isfinite(out).all()
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSigmoidMatchesReference:
+    """The branch-free sigmoid gives the masked two-branch form's bits."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e3, -1e3, 1.0, -1.0,
+               17.0, -17.0, 88.7, -88.7, 103.9, -103.9, 709.7, -745.1, 1e-30, -1e-30]
+
+    @staticmethod
+    def arrays(dtype):
+        rng = np.random.default_rng(4)
+        yield np.array(TestSigmoidMatchesReference.SPECIAL, dtype=dtype)
+        for v in TestSigmoidMatchesReference.SPECIAL:
+            yield np.asarray(v, dtype=dtype)
+        for shape in [(1,), (7,), (14, 64), (3, 5, 4)]:
+            for scale in (1e-3, 1.0, 30.0, 1e3):
+                x = rng.normal(size=shape) * scale
+                yield np.clip(x, -1e3, 1e3).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits(self, dtype):
+        for x in self.arrays(dtype):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sigmoid(x)
+            want = sigmoid_reference(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEmbed:

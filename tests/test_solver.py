@@ -5,6 +5,7 @@ import pytest
 
 from cfgexec.executor import gate_adjacency
 from cfgexec.graphs import renormalize
+from cfgexec.model import forward, init_model_params, prepare_graph
 from cfgexec.solver import (
     DivergenceError,
     SolverConfig,
@@ -15,8 +16,14 @@ from cfgexec.solver import (
     project_wellposed,
 )
 from cfgexec.synth import SyntheticSpec, generate_dataset
+from cfgexec.training import TrainConfig
 
-from oracles import dense_spectral_radius, l1_projection_bisection, pf_eigenvalue_reference
+from oracles import (
+    anderson_reference,
+    dense_spectral_radius,
+    l1_projection_bisection,
+    pf_eigenvalue_reference,
+)
 
 COS_FIXED_POINT = 0.7390851332151607
 
@@ -220,3 +227,98 @@ class TestPfEigenvalueMatchesReference:
             # tol 0 never stops early, so every step runs
             assert (pf_eigenvalue(m, max_iter=max_iter, tol=0.0)
                     == pf_eigenvalue_reference(m, max_iter=max_iter, tol=0.0))
+
+
+def assert_same_solve(got, want):
+    assert got.x_star.dtype == want.x_star.dtype
+    assert got.x_star.shape == want.x_star.shape
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.residuals == want.residuals
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.fallback_steps == want.fallback_steps
+    assert got.stop_reason == want.stop_reason
+
+
+class TestAndersonMatchesReference:
+    """The buffered window gives the bits of the loop that stacks its window
+    from lists at every step, on the model's 14x64 state shape."""
+
+    @staticmethod
+    def tanh_map(dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((14, 14))
+        a /= a.sum(axis=0)
+        w = rng.normal(size=(64, 64)) * 0.15
+        b = rng.normal(size=(14, 64))
+        a, w, b = (v.astype(dtype) for v in (a, w, b))
+        return lambda x: np.tanh(a.T @ x @ w + b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("tol", [None, 0.0], ids=["converge", "max-iter"])
+    def test_window_fills_and_slides(self, dtype, m, tol):
+        # tol 0 never stops early: the window fills and then slides to max_iter
+        for seed in range(3):
+            f = self.tanh_map(dtype, seed)
+            x0 = np.zeros((14, 64), dtype=dtype)
+            cfg = SolverConfig(m=m, max_iter=30, tol=tol)
+            got, want = anderson(f, x0, cfg), anderson_reference(f, x0, cfg)
+            assert_same_solve(got, want)
+            assert got.iterations > m
+            if tol == 0.0:
+                assert got.iterations == 30 and not got.converged
+
+    def test_model_forward_and_adjoint_maps(self):
+        spec = SyntheticSpec(n_graphs=6, chain_length=8, seed=42)
+        cfg = TrainConfig(seed=0, tau=64.0)
+        store = init_model_params(cfg, spec.vocab_size, cfg.seed)
+        for i, g in enumerate(generate_dataset(spec)):
+            _, cache = forward(prepare_graph(g, cfg), store, cfg, mode="eval", seed=i)
+            step, sc = cache.step, cache.step_cache
+            assert_same_solve(anderson(step, step.u.copy(), cfg.solver),
+                              anderson_reference(step, step.u.copy(), cfg.solver))
+            rhs = np.full_like(cache.x_star, 1e-3)
+
+            def adjoint(v):
+                return rhs + step.vjp_x(sc, v)
+
+            assert_same_solve(anderson(adjoint, rhs.copy(), cfg.solver),
+                              anderson_reference(adjoint, rhs.copy(), cfg.solver))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_singular_gram_falls_back(self, dtype):
+        # a constant shift repeats the residual, so D = 0 and the Gram matrix
+        # plus its trace-scaled ridge is the zero matrix
+        shift = np.full(8, 1e-3, dtype=dtype)
+        cfg = SolverConfig(m=3, max_iter=12, tol=0.0)
+        got = anderson(lambda x: x + shift, np.ones(8, dtype=dtype), cfg)
+        assert got.fallback_steps == list(range(2, 13))
+        assert_same_solve(got, anderson_reference(lambda x: x + shift,
+                                                  np.ones(8, dtype=dtype), cfg))
+
+    def test_on_iterate_stop(self):
+        f = self.tanh_map(np.float32, 7)
+        x0 = np.zeros((14, 64), dtype=np.float32)
+        cfg = SolverConfig(m=5, max_iter=30, tol=0.0)
+
+        def stop(x, it):
+            return "halt" if it == 9 else None
+
+        got = anderson(f, x0, cfg, on_iterate=stop)
+        assert got.stop_reason == "halt" and got.iterations == 9
+        assert_same_solve(got, anderson_reference(f, x0, cfg, on_iterate=stop))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_divergence(self, dtype):
+        def f(x):
+            # no real fixed point: the residual 10 + x^2 never vanishes
+            return x + 10.0 + x * x
+
+        x0 = np.linspace(0.1, 0.6, 6).astype(dtype)
+        cfg = SolverConfig(m=5, max_iter=50)
+        with pytest.raises(DivergenceError) as got:
+            anderson(f, x0, cfg)
+        with pytest.raises(DivergenceError) as want:
+            anderson_reference(f, x0, cfg)
+        assert str(got.value) == str(want.value)

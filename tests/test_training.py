@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
+import cfgexec.model
+import cfgexec.training
 from cfgexec.executor import gate_adjacency
-from cfgexec.model import ModelConfig, forward, init_model_params, prepare_graph
+from cfgexec.model import (
+    ModelConfig,
+    bce_with_logit,
+    derive_seed,
+    forward,
+    init_model_params,
+    prepare_graph,
+)
+from cfgexec.nn import sigmoid
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import (
@@ -228,3 +238,55 @@ class TestCheckpoint:
         b = evaluate(bundles, store, cfg, noise_seeds=3)
         assert a[0] == b[0]
         assert a[2] == b[2]
+
+
+class TestEvalEncoderReuse:
+    """Eval noise draws share the first draw's encoder pass."""
+
+    @pytest.mark.parametrize("cfg", [small_config(), TrainConfig(seed=0, tau=64.0)],
+                             ids=["small", "criterion-6"])
+    def test_one_encoder_pass_per_graph(self, monkeypatch, cfg):
+        ds = generate_dataset(SyntheticSpec(n_graphs=6, chain_length=8, seed=42))
+        store = init_model_params(cfg, 16, seed=0)
+        bundles = [prepare_graph(g, cfg) for g in ds]
+        # the loop that runs every draw as an independent forward
+        want_scores, want_losses = [], []
+        for b in bundles:
+            probs = []
+            for k in range(3):
+                logit, _ = forward(b, store, cfg, mode="eval",
+                                   seed=derive_seed(cfg.seed, "eval", b.graph.id, k))
+                probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
+                if k == 0:
+                    want_losses.append(bce_with_logit(logit, b.label))
+            want_scores.append(float(np.mean(probs)))
+
+        calls = {"encoder": 0, "forward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cfgexec.model, "bigru_forward",
+                            counted("encoder", cfgexec.model.bigru_forward))
+        monkeypatch.setattr(cfgexec.training, "forward",
+                            counted("forward", cfgexec.training.forward))
+        loss, _, scores = evaluate(bundles, store, cfg, noise_seeds=3)
+        assert calls == {"encoder": len(bundles), "forward": 3 * len(bundles)}
+        assert scores == want_scores
+        assert loss == float(np.mean(want_losses))
+
+    def test_reuse_needs_an_eval_cache_of_the_same_bundle(self):
+        cfg = small_config()
+        store = init_model_params(cfg, 16, seed=0)
+        a, b = (prepare_graph(g, cfg) for g in small_dataset(2))
+        _, cache = forward(a, store, cfg, mode="eval", seed=1)
+        _, train_cache = forward(a, store, cfg, mode="train", seed=1)
+        with pytest.raises(ValueError, match="reuse"):
+            forward(a, store, cfg, mode="train", seed=2, reuse=cache)
+        with pytest.raises(ValueError, match="reuse"):
+            forward(a, store, cfg, mode="eval", seed=2, reuse=train_cache)
+        with pytest.raises(ValueError, match="reuse"):
+            forward(b, store, cfg, mode="eval", seed=2, reuse=cache)
