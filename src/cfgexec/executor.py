@@ -21,7 +21,7 @@ Perron-Frobenius eigenvalue never exceeds that of the renormalized adjacency.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,31 +31,35 @@ from .nn import ACTIVATIONS, NumericError, sigmoid
 STATE_FLOOR = 1e-6  # keeps log(s) and the 1/s gradient term finite under f32
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each stacked matrix (the last two axes)."""
+    return a.swapaxes(-1, -2)
+
+
+def _top(z: np.ndarray) -> np.ndarray:
+    """Flat indices into z of each row's argmax (its first largest entry)."""
+    return z.argmax(axis=-1).reshape(-1) + np.arange(0, z.size, z.shape[-1])
+
+
 def program_state(x: np.ndarray, w_s: np.ndarray) -> np.ndarray:
     """Per-node scalar program state: sigmoid of a linear read-out of X.
 
     Clamped away from exact zero: the sigmoid guarantees s > 0 only in exact
     arithmetic, and the agent's backward divides by s.
     """
-    s = sigmoid((x @ w_s).reshape(-1))
-    return np.clip(s, STATE_FLOOR, 1.0)
+    s = sigmoid((x @ w_s).reshape(x.shape[:-1]))
+    return s.clip(STATE_FLOOR, 1.0)
 
 
 def gumbel_softmax(s: np.ndarray, noise: np.ndarray, tau: float) -> np.ndarray:
-    """Relaxed categorical sample z = softmax((log s + g) / tau).
+    """Relaxed categorical sample z = softmax((log s + g) / tau) over the last axis.
 
     `noise` holds standard Gumbel draws.
     """
     logits = (np.log(s) + noise) / tau
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
-
-
-def one_hot(index: int, n: int, dtype: np.dtype) -> np.ndarray:
-    a = np.zeros(n, dtype=dtype)
-    a[index] = 1.0
-    return a
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def agent_gate(z: np.ndarray, hard: bool) -> np.ndarray:
@@ -67,8 +71,10 @@ def agent_gate(z: np.ndarray, hard: bool) -> np.ndarray:
     through the soft form (straight-through, see `JointStep._agent_dx`).
     """
     if hard:
-        return one_hot(int(np.argmax(z)), z.shape[0], z.dtype)
-    return z / z.max()
+        a = np.zeros_like(z)
+        a.reshape(-1)[_top(z)] = 1.0
+        return a
+    return z / z.max(axis=-1, keepdims=True)
 
 
 def gate_adjacency(a_hat: np.ndarray, a: np.ndarray, gate_axis: str = "recv") -> np.ndarray:
@@ -78,9 +84,9 @@ def gate_adjacency(a_hat: np.ndarray, a: np.ndarray, gate_axis: str = "recv") ->
     "send": row i is scaled by a_i (ablation switch).
     """
     if gate_axis == "recv":
-        return a_hat * a[None, :]
+        return a_hat * a[..., None, :]
     if gate_axis == "send":
-        return a_hat * a[:, None]
+        return a_hat * a[..., :, None]
     raise ValueError(f"unknown gate_axis {gate_axis!r}")
 
 
@@ -95,6 +101,10 @@ class StepCache:
     q: np.ndarray
     x_next: np.ndarray
 
+    def take(self, items) -> "StepCache":
+        """The cache of the stacked graphs `items` (an index or index list)."""
+        return StepCache(*(getattr(self, f.name)[items] for f in fields(self)))
+
 
 @dataclass
 class JointStep:
@@ -104,6 +114,12 @@ class JointStep:
     the lifetime of the step object, which makes the map deterministic and its
     fixed point well-defined. The injected term does not depend on X and is
     computed once.
+
+    The graph arrays (a_hat (n, n), u (n, h), noise (n,)) may carry leading
+    axes that stack graphs of one shape; the weights are shared. Every op acts
+    per graph: stacked matmuls over each graph's own matrices, reductions
+    along a per-graph axis, and `np.vecdot` for the agent's inner products,
+    so a stacked step gives each graph the bits of a step on that graph alone.
     """
 
     a_hat: np.ndarray
@@ -120,7 +136,7 @@ class JointStep:
 
     def __post_init__(self) -> None:
         act, dact = ACTIVATIONS[self.phi]
-        inj_pre = self.u @ self.omega + self.bias[None, :]
+        inj_pre = self.u @ self.omega + self.bias
         self.inj = act(inj_pre)
         self.inj_grad = dact(self.inj, inj_pre)
 
@@ -131,23 +147,36 @@ class JointStep:
         step.noise = noise
         return step
 
+    def take(self, items) -> "JointStep":
+        """The map of the stacked graphs `items` (an index or index list),
+        sharing the weights and slicing the injected term."""
+        step = copy.copy(self)
+        for name in ("a_hat", "u", "noise", "inj", "inj_grad"):
+            setattr(step, name, getattr(self, name)[items])
+        return step
+
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, StepCache]:
+        x_next, *values = self._step(x)
+        return x_next, StepCache(x, *values, x_next)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._step(x)[0]
+
+    def _step(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(x_next, s, z, a, q): the transition and the values its VJP reads."""
         s = program_state(x, self.w_s)
         z = gumbel_softmax(s, self.noise, self.tau)
         a = agent_gate(z, self.hard)
         if self.gate_axis == "recv":
-            q = self.a_hat.T @ x
-            gated = a[:, None] * q
+            q = _t(self.a_hat) @ x
+            gated = a[..., None] * q
         else:
-            q = self.a_hat.T @ (a[:, None] * x)
+            q = _t(self.a_hat) @ (a[..., None] * x)
             gated = q
         x_next = gated @ self.w + self.inj
         if not np.isfinite(x_next).all():
             raise NumericError("nan-detected: non-finite transition output")
-        return x_next, StepCache(x, s, z, a, q, x_next)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(x)[0]
+        return x_next, s, z, a, q
 
     def _agent_dx(self, cache: StepCache, da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backprop the agent path: da -> (dX contribution, dW_s).
@@ -155,51 +184,51 @@ class JointStep:
         The gradient is that of the soft gate z / max(z) in both modes; for a
         hard agent this is the straight-through estimate.
         """
-        top = int(np.argmax(cache.z))
-        z_top = cache.z[top]
+        z, s = cache.z, cache.s
+        z_top = z.max(axis=-1, keepdims=True)
         dz = da / z_top
-        dz[top] -= float(da @ cache.z) / (z_top * z_top)
-        dlogits = cache.z * (dz - float(dz @ cache.z))
-        ds = dlogits / (self.tau * cache.s)
-        dpre = ds * cache.s * (1.0 - cache.s)
-        dx = dpre[:, None] @ self.w_s.reshape(1, -1)
-        dw_s = (cache.x.T @ dpre).reshape(self.w_s.shape)
+        dz.reshape(-1)[_top(z)] -= (np.vecdot(da, z)[..., None] / (z_top * z_top)).reshape(-1)
+        dlogits = z * (dz - np.vecdot(dz, z)[..., None])
+        ds = dlogits / (self.tau * s)
+        dpre = ds * s * (1.0 - s)
+        dx = dpre[..., None] @ self.w_s.reshape(1, -1)
+        dw_s = (_t(cache.x) @ dpre[..., None]).reshape(*dpre.shape[:-1], *self.w_s.shape)
         return dx, dw_s
 
     def vjp_x(self, cache: StepCache, v: np.ndarray) -> np.ndarray:
         """(dF/dX)^T v at the cached point, including the agent path."""
         dgated = v @ self.w.T
         if self.gate_axis == "recv":
-            dq = cache.a[:, None] * dgated
-            da = (dgated * cache.q).sum(axis=1)
+            dq = cache.a[..., None] * dgated
+            da = (dgated * cache.q).sum(axis=-1)
             dx = self.a_hat @ dq
         else:
             dax = self.a_hat @ dgated
-            da = (dax * cache.x).sum(axis=1)
-            dx = cache.a[:, None] * dax
+            da = (dax * cache.x).sum(axis=-1)
+            dx = cache.a[..., None] * dax
         dx_agent, _ = self._agent_dx(cache, da)
         return dx + dx_agent
 
     def vjp_params(self, cache: StepCache, v: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of <v, F(X)> with respect to the step's parameters and U."""
+        """Gradients of <v, F(X)> with respect to the step's parameters and U,
+        one per stacked graph."""
         if self.gate_axis == "recv":
-            gated = cache.a[:, None] * cache.q
+            gated = cache.a[..., None] * cache.q
         else:
             gated = cache.q
-        dw = gated.T @ v
+        dw = _t(gated) @ v
         dgated = v @ self.w.T
         if self.gate_axis == "recv":
-            da = (dgated * cache.q).sum(axis=1)
+            da = (dgated * cache.q).sum(axis=-1)
         else:
             dax = self.a_hat @ dgated
-            da = (dax * cache.x).sum(axis=1)
+            da = (dax * cache.x).sum(axis=-1)
         _, dw_s = self._agent_dx(cache, da)
         d_inj = v * self.inj_grad
         return {
             "W": dw,
-            "Om": self.u.T @ d_inj,
-            "cb": d_inj.sum(axis=0),
+            "Om": _t(self.u) @ d_inj,
+            "cb": d_inj.sum(axis=-2),
             "ws": dw_s,
             "U": d_inj @ self.omega.T,
         }
-

@@ -6,6 +6,10 @@ The backward never retains solver iterates: it re-linearizes the transition
 at the equilibrium, solves the adjoint fixed point with the same solver
 budget, and pushes the resulting cotangent through the encoder. Retained
 state is therefore independent of how many iterations the solver ran.
+
+`forward` and `model_backward` take one graph or a group of graphs of one
+`ids` shape, stacked on a leading axis. One graph is the group of one, and a
+group gives each graph the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
+
 import numpy as np
 
 from .executor import JointStep, StepCache, gate_adjacency, gumbel_softmax, program_state
@@ -36,7 +42,8 @@ from .nn import (
     time_pool,
     time_pool_backward,
 )
-from .solver import DivergenceError, SolverConfig, SolverResult, anderson, pf_eigenvalue
+from .solver import (DivergenceError, SolverConfig, SolverResult, StackResult, anderson,
+                     pf_eigenvalue)
 
 
 def derive_seed(*parts: object) -> int:
@@ -87,21 +94,22 @@ class ModelConfig:
         return np.dtype(np.float64 if self.precision == "f64" else np.float32)
 
 
-PARAM_SHAPES = {
-    "ws": lambda h, v: (h, 1),
-    "W": lambda h, v: (h, h),
-    "Om": lambda h, v: (h, h),
-    "cb": lambda h, v: (h,),
-    "ln_g": lambda h, v: (h,),
-    "ln_b": lambda h, v: (h,),
-    "wp": lambda h, v: (h,),
-}
-
 _GRU_MATS = ("Wr", "Wu", "Wc", "Ur", "Uu", "Uc")
 _GRU_VECS = ("br", "bu", "bc")
-# every parameter init_model_params creates
-PARAM_NAMES = ("emb", *(f"{prefix}_{name}" for prefix in ("gruf", "grub")
-                        for name in _GRU_MATS + _GRU_VECS), "mix_W", "mix_b", *PARAM_SHAPES)
+
+
+def param_shapes(h: int, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter init_model_params creates, in its order."""
+    shapes: dict[str, tuple[int, ...]] = {"emb": (vocab_size, h)}
+    for prefix in ("gruf", "grub"):
+        shapes.update({f"{prefix}_{name}": (h, h) for name in _GRU_MATS})
+        shapes.update({f"{prefix}_{name}": (h,) for name in _GRU_VECS})
+    shapes.update(mix_W=(2 * h, h), mix_b=(h,), ws=(h, 1), W=(h, h), Om=(h, h), cb=(h,),
+                  ln_g=(h,), ln_b=(h,), wp=(h,))
+    return shapes
+
+
+PARAM_NAMES = tuple(param_shapes(1, 1))
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> ParamStore:
@@ -130,7 +138,8 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
             params[f"{prefix}_{name}"] = np.zeros(h, dtype=dtype)
     params["mix_W"] = (rng.normal(size=(2 * h, h)) * scale).astype(dtype)
     params["mix_b"] = np.zeros(h, dtype=dtype)
-    for name, shape_fn in PARAM_SHAPES.items():
+    shapes = param_shapes(h, vocab_size)
+    for name in ("ws", "W", "Om", "cb", "ln_g", "ln_b", "wp"):
         if name == "ln_g":
             params[name] = np.ones(h, dtype=dtype)
         elif name == "ln_b":
@@ -142,7 +151,7 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
         elif name == "W":
             params[name] = (0.7 * np.eye(h) + rng.normal(size=(h, h)) * (0.1 / h)).astype(dtype)
         else:
-            params[name] = (rng.normal(size=shape_fn(h, vocab_size)) * scale).astype(dtype)
+            params[name] = (rng.normal(size=shapes[name]) * scale).astype(dtype)
     frozen_emb = np.zeros((vocab_size, h), dtype=bool)
     frozen_emb[0] = True
     return ParamStore(params=params, frozen={"emb": frozen_emb})
@@ -153,7 +162,8 @@ class GraphBundle:
     """A graph preprocessed for the model: padded ids, mask, and normalized adjacency.
 
     lambda_hat, the PF eigenvalue of the f64 renormalized adjacency, is
-    computed on first read and cached; only the training projection reads it.
+    computed on first read and cached; only the training projection reads it,
+    and `cache_lambda_hat` fills it for many bundles at once.
     """
 
     graph: CfgGraph
@@ -174,6 +184,19 @@ class GraphBundle:
         return self.graph.label
 
 
+def cache_lambda_hat(bundles: Sequence[GraphBundle]) -> None:
+    """Compute `lambda_hat` of many bundles at once, one stacked power
+    iteration per graph size; each value has the bits of the bundle's own."""
+    sizes: dict[int, list[GraphBundle]] = {}
+    for b in bundles:
+        if "lambda_hat" not in b.__dict__:
+            sizes.setdefault(b.n, []).append(b)
+    for group in sizes.values():
+        lams = pf_eigenvalue(np.stack([renormalize(b.graph.adjacency) for b in group]))
+        for b, lam in zip(group, lams.tolist()):
+            b.__dict__["lambda_hat"] = lam  # where the cached_property keeps its value
+
+
 def prepare_graph(graph: CfgGraph, config: ModelConfig) -> GraphBundle:
     v = max(1, min(config.v_max, max(len(seq) for seq in graph.nodes)))
     ids = np.zeros((graph.n, v), dtype=np.int64)
@@ -188,26 +211,56 @@ def prepare_graph(graph: CfgGraph, config: ModelConfig) -> GraphBundle:
     )
 
 
-@dataclass
-class ForwardCache:
-    """Everything the backward pass needs, linearized at the equilibrium."""
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Arrays of one shape on a new leading group axis (one array as a view)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    bundle: GraphBundle
+
+def _on_items(size: int, make: Callable[[slice | list[int]], Callable]) -> Callable:
+    """The map f(x, items) of a stacked solve over `size` problems: the map
+    `make(selection)` builds for the problems still running, built once per
+    set of them."""
+    built: dict[tuple[int, ...], Callable] = {}
+
+    def f(x: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
+        fn = built.get(items)
+        if fn is None:
+            built.clear()
+            fn = built[items] = make(slice(None) if len(items) == size else list(items))
+        return fn(x)
+
+    return f
+
+
+@dataclass
+class GroupCache:
+    """Everything the backward pass needs for a group of graphs of one shape,
+    stacked on a leading axis and linearized at the equilibrium.
+
+    Per-graph values are lists in group order; `solve` holds each graph's
+    `SolverResult` and the stacked fixed points.
+    """
+
+    bundles: list[GraphBundle]
     config: ModelConfig
     mode: str
+    ids: np.ndarray
     gru: BiGruCache
     pool: PoolCache
     keep: np.ndarray | None
     step: JointStep
     step_cache: StepCache
-    x_star: np.ndarray
-    solver_result: SolverResult
-    lambda_gated: float | None  # None in eval mode
+    solve: StackResult
+    lambda_gated: np.ndarray | None  # None in eval mode
     ln: LayerNormCache
     g_vec: np.ndarray
-    logit: float
-    termination: str
-    selected: list[int]  # argmax z at each solver iterate; empty unless keep_trace
+    logits: list[float]
+    terminations: list[str]
+    selected: list[list[int]]  # argmax z at each solver iterate; empty unless keep_trace
+
+    @property
+    def x_star(self) -> np.ndarray:
+        return self.solve.x_star
 
     def retained_floats(self) -> int:
         """Retained-activation accounting used by the memory-contract check."""
@@ -226,14 +279,74 @@ class ForwardCache:
         total += self.step.noise.size
         total += self.x_star.size + self.g_vec.size
         total += self.ln.x_hat.size + self.ln.inv_std.size
-        total += len(self.solver_result.residuals) + len(self.selected)
+        total += sum(len(r.residuals) for r in self.solve.results)
+        total += sum(len(sel) for sel in self.selected)
         return total
 
 
-def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
-            mode: str = "eval", seed: int = 0, keep_trace: bool = False,
-            reuse: ForwardCache | None = None) -> tuple[float, ForwardCache]:
+@dataclass(eq=False)
+class ForwardCache:
+    """One graph's forward: the view `forward` returns of its group of one."""
+
+    group: GroupCache
+
+    @property
+    def bundle(self) -> GraphBundle:
+        return self.group.bundles[0]
+
+    @property
+    def mode(self) -> str:
+        return self.group.mode
+
+    @property
+    def keep(self) -> np.ndarray | None:
+        return None if self.group.keep is None else self.group.keep[0]
+
+    @functools.cached_property
+    def step(self) -> JointStep:
+        return self.group.step.take(0)
+
+    @functools.cached_property
+    def step_cache(self) -> StepCache:
+        return self.group.step_cache.take(0)
+
+    @property
+    def x_star(self) -> np.ndarray:
+        return self.group.x_star[0]
+
+    @property
+    def solver_result(self) -> SolverResult:
+        return self.group.solve.results[0]
+
+    @property
+    def lambda_gated(self) -> float | None:
+        lam = self.group.lambda_gated
+        return None if lam is None else float(lam[0])
+
+    @property
+    def termination(self) -> str:
+        return self.group.terminations[0]
+
+    @property
+    def selected(self) -> list[int]:
+        return self.group.selected[0]
+
+    def retained_floats(self) -> int:
+        return self.group.retained_floats()
+
+
+def forward(bundle: GraphBundle | Sequence[GraphBundle], store: ParamStore,
+            config: ModelConfig, mode: str = "eval", seed: int | Sequence[int] = 0,
+            keep_trace: bool = False, reuse: ForwardCache | GroupCache | None = None,
+            ) -> tuple[float, ForwardCache] | tuple[list[float], GroupCache]:
     """Run the full pipeline for one graph; returns (logit, cache).
+
+    Given a sequence of bundles of one `ids` shape and one seed per bundle,
+    runs them as a group stacked on a leading axis and returns (logits,
+    group cache). Every op acts per graph (stacked matmuls over each graph's
+    own operands, reductions along per-graph axes), and each graph keeps its
+    own noise, dropout, solver window and stop, so every graph gets the bits
+    it gets alone; one graph is the group of one.
 
     The Gumbel noise vector is drawn once per call from the seeded stream and
     held fixed across solver iterations, so the transition is a deterministic
@@ -247,60 +360,78 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
 
     In eval mode the encoder output and the injected term depend on the
     bundle and the parameters but not on the seed. `reuse`, an eval cache of
-    this bundle under the same parameters and config, supplies both, so a
-    forward under another noise draw runs only the agent and the solve.
+    the same bundles under the same parameters and config, supplies both, so
+    a forward under another noise draw runs only the agent and the solve.
     """
+    if isinstance(bundle, GraphBundle):
+        logits, group = _forward_group([bundle], store, config, mode, [seed], keep_trace,
+                                       None if reuse is None else reuse.group)
+        return logits[0], ForwardCache(group)
+    return _forward_group(list(bundle), store, config, mode, list(seed), keep_trace, reuse)
+
+
+def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelConfig,
+                   mode: str, seeds: list[int], keep_trace: bool,
+                   reuse: GroupCache | None) -> tuple[list[float], GroupCache]:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if len(seeds) != len(bundles):
+        raise ValueError(f"{len(bundles)} bundles need as many seeds, got {len(seeds)}")
     p = store.params
     dtype = config.dtype
-    noise = np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
-        size=bundle.n).astype(dtype)
+    noise = _stack([np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
+        size=b.n).astype(dtype) for b, seed in zip(bundles, seeds)])
     if reuse is not None:
-        if mode != "eval" or reuse.mode != "eval" or reuse.bundle is not bundle:
+        if (mode != "eval" or reuse.mode != "eval" or len(reuse.bundles) != len(bundles)
+                or any(a is not b for a, b in zip(reuse.bundles, bundles))):
             raise ValueError("reuse takes an eval cache of the same bundle, in eval mode")
-        gru_cache, pool_cache, keep = reuse.gru, reuse.pool, None
+        ids, gru_cache, pool_cache, keep = reuse.ids, reuse.gru, reuse.pool, None
         step = reuse.step.with_noise(noise)
     else:
-        x_emb = embed(bundle.ids, p["emb"])
-        h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
-        u0, pool_cache = time_pool(h_seq, config.pool, bundle.mask)
+        ids, mask = _stack([b.ids for b in bundles]), _stack([b.mask for b in bundles])
+        x_emb = embed(ids, p["emb"])
+        h_seq, gru_cache = bigru_forward(x_emb, p, mask)
+        u0, pool_cache = time_pool(h_seq, config.pool, mask)
         keep = None
         if mode == "train" and config.dropout > 0.0:
-            keep = dropout_mask(u0.shape, config.dropout,
-                                np.random.default_rng(derive_seed(seed, "dropout")), dtype)
+            keep = _stack([dropout_mask(u0.shape[1:], config.dropout,
+                                        np.random.default_rng(derive_seed(seed, "dropout")),
+                                        dtype) for seed in seeds])
             u = u0 * keep
         else:
             u = u0
         ensure_finite("encoder output", u)
         step = JointStep(
-            a_hat=bundle.a_hat, u=u, w_s=p["ws"], w=p["W"], omega=p["Om"], bias=p["cb"],
-            noise=noise, tau=config.tau, hard=config.agent_mode == "hard",
-            phi=config.phi, gate_axis=config.gate_axis,
+            a_hat=_stack([b.a_hat for b in bundles]), u=u, w_s=p["ws"], w=p["W"],
+            omega=p["Om"], bias=p["cb"], noise=noise, tau=config.tau,
+            hard=config.agent_mode == "hard", phi=config.phi, gate_axis=config.gate_axis,
         )
-    u = step.u
     tol = config.solver.resolve_tol(dtype)
-    exits = bundle.graph.exits
     hard = config.agent_mode == "hard"
-    selected: list[int] = []
+    selected: list[list[int]] = [[] for _ in bundles]
 
-    def on_iterate(x_new: np.ndarray, _it: int) -> str | None:
-        if not (hard or keep_trace):
-            return None
-        z = gumbel_softmax(program_state(x_new, p["ws"]), noise, config.tau)
-        top = int(np.argmax(z))
-        if keep_trace:
-            selected.append(top)
-        return "exit-reached" if hard and top in exits else None
+    def on_iterate(x_new: np.ndarray, _it: int, items: tuple[int, ...]) -> list[str | None]:
+        sub = noise if len(items) == len(bundles) else noise[list(items)]
+        z = gumbel_softmax(program_state(x_new, p["ws"]), sub, config.tau)
+        reasons: list[str | None] = []
+        for i, top in zip(items, z.argmax(axis=-1).tolist()):
+            if keep_trace:
+                selected[i].append(top)
+            reasons.append("exit-reached" if hard and top in bundles[i].graph.exits else None)
+        return reasons
 
-    result = anderson(step, u.copy(), config.solver, tol=tol, on_iterate=on_iterate)
+    solve = anderson(_on_items(len(bundles), step.take), step.u.copy(), config.solver,
+                     tol=tol, on_iterate=on_iterate if hard or keep_trace else None,
+                     stacked=True)
     if not keep_trace:
-        result = replace(result, residuals=result.residuals[-1:])
-    x_star = ensure_finite("equilibrium", result.x_star)
+        solve.results[:] = [replace(r, residuals=r.residuals[-1:]) for r in solve.results]
+    x_star = ensure_finite("equilibrium", solve.x_star)
     _, step_cache = step.forward_cached(x_star)
-    if keep_trace and result.converged:
+    if keep_trace:
         # the solver returns a converged iterate without calling on_iterate
-        selected.append(int(np.argmax(step_cache.z)))
+        for sel, r, z in zip(selected, solve.results, step_cache.z):
+            if r.converged:
+                sel.append(int(np.argmax(z)))
     # training projects W against max(lambda_ref, lambda_hat), where
     # lambda_ref smooths the batch max of this estimate, so it sets the
     # projection radius whenever lambda_ref exceeds lambda_hat; a coarse
@@ -308,19 +439,20 @@ def forward(bundle: GraphBundle, store: ParamStore, config: ModelConfig,
     lambda_gated = None
     if mode == "train":
         lambda_gated = pf_eigenvalue(
-            gate_adjacency(bundle.a_hat, step_cache.a, config.gate_axis),
-            max_iter=80, tol=1e-6)
-    pooled = x_star.mean(axis=0)
+            gate_adjacency(step.a_hat, step_cache.a, config.gate_axis), max_iter=80, tol=1e-6)
+    # one pooled row per graph, so the layer-norm gradients stay per graph
+    pooled = x_star.mean(axis=-2, keepdims=True)
     g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])
-    logit = float(p["wp"] @ g_vec)
-    termination = "equilibrium" if result.converged else (result.stop_reason or "max-steps")
-    cache = ForwardCache(
-        bundle=bundle, config=config, mode=mode, gru=gru_cache, pool=pool_cache,
-        keep=keep, step=step, step_cache=step_cache, x_star=x_star,
-        solver_result=result, lambda_gated=lambda_gated, ln=ln_cache, g_vec=g_vec,
-        logit=logit, termination=termination, selected=selected,
+    # np.vecdot, not a (G, h) @ (h,) product, which BLAS sums in another order
+    logits = np.vecdot(g_vec[:, 0], p["wp"]).tolist()
+    terminations = ["equilibrium" if r.converged else (r.stop_reason or "max-steps")
+                    for r in solve.results]
+    cache = GroupCache(
+        bundles=bundles, config=config, mode=mode, ids=ids, gru=gru_cache, pool=pool_cache,
+        keep=keep, step=step, step_cache=step_cache, solve=solve, lambda_gated=lambda_gated,
+        ln=ln_cache, g_vec=g_vec, logits=logits, terminations=terminations, selected=selected,
     )
-    return logit, cache
+    return logits, cache
 
 
 def bce_with_logit(logit: float, label: int) -> float:
@@ -332,42 +464,59 @@ def bce_grad(logit: float, label: int) -> float:
     return float(sigmoid(np.asarray(logit, dtype=np.float64)) - label)
 
 
-def implicit_backward(cache: ForwardCache, dl_dxstar: np.ndarray,
+def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray,
                       store: ParamStore) -> dict[str, np.ndarray]:
     """Adjoint solve at the equilibrium, then parameter gradients.
 
-    Solves v = dl_dxstar + (dF/dX)^T v with the forward solver budget and
-    returns gradients for the transition parameters plus the encoder
-    cotangent under key "U". No per-iteration forward state is consulted.
+    Solves v = dl_dxstar + (dF/dX)^T v per graph of the group with the
+    forward solver budget and returns each graph's gradients for the
+    transition parameters plus the encoder cotangent under key "U". No
+    per-iteration forward state is consulted.
     """
     step, sc = cache.step, cache.step_cache
     tol = cache.config.solver.resolve_tol(dl_dxstar.dtype)
 
-    def adjoint_map(v: np.ndarray) -> np.ndarray:
-        return dl_dxstar + step.vjp_x(sc, v)
+    def adjoint_map(items: slice | list[int]) -> Callable[[np.ndarray], np.ndarray]:
+        sub, sub_cache, rhs = step.take(items), sc.take(items), dl_dxstar[items]
+        return lambda v: rhs + sub.vjp_x(sub_cache, v)
 
     try:
-        res = anderson(adjoint_map, dl_dxstar.copy(), cache.config.solver, tol=tol)
+        res = anderson(_on_items(len(cache.bundles), adjoint_map), dl_dxstar.copy(),
+                       cache.config.solver, tol=tol, stacked=True)
     except DivergenceError as exc:
         raise DivergenceError(f"adjoint-divergence: {exc}") from exc
     return step.vjp_params(sc, res.x_star)
 
 
-def model_backward(cache: ForwardCache, store: ParamStore,
-                   label: int) -> tuple[float, dict[str, np.ndarray]]:
-    """Full-model gradient for one labeled graph; returns (loss, grads)."""
+def model_backward(cache: ForwardCache | GroupCache, store: ParamStore,
+                   label: int | Sequence[int]) -> tuple[float, dict[str, np.ndarray]] | \
+        tuple[list[float], dict[str, np.ndarray]]:
+    """Full-model gradient for one labeled graph; returns (loss, grads).
+
+    Given a group's cache and one label per graph, returns (per-graph
+    losses, grads), each grad stacked per graph on a leading axis.
+    """
+    if isinstance(cache, ForwardCache):
+        losses, grads = _backward_group(cache.group, store, [label])
+        return losses[0], {k: v[0] for k, v in grads.items()}
+    return _backward_group(cache, store, list(label))
+
+
+def _backward_group(cache: GroupCache, store: ParamStore,
+                    labels: list[int]) -> tuple[list[float], dict[str, np.ndarray]]:
     p = store.params
-    n = cache.bundle.n
-    loss = bce_with_logit(cache.logit, label)
-    dlogit = bce_grad(cache.logit, label)
+    n = cache.bundles[0].n
+    losses = [bce_with_logit(logit, y) for logit, y in zip(cache.logits, labels)]
+    # a Python float times an f32 array is an f32 product, so the per-graph
+    # factors are cast to the array's dtype first
+    dlogit = np.array([bce_grad(logit, y) for logit, y in zip(cache.logits, labels)],
+                      dtype=cache.g_vec.dtype)[:, None, None]
     grads: dict[str, np.ndarray] = {
-        "wp": (dlogit * cache.g_vec).astype(p["wp"].dtype),
+        "wp": (dlogit * cache.g_vec).astype(p["wp"].dtype)[:, 0],
     }
     dg = (dlogit * p["wp"]).astype(cache.g_vec.dtype)
-    dpool, dln_g, dln_b = layer_norm_backward(dg, cache.ln)
-    grads["ln_g"] = dln_g
-    grads["ln_b"] = dln_b
-    dxstar = np.repeat((dpool / n)[None, :], n, axis=0)
+    dpool, grads["ln_g"], grads["ln_b"] = layer_norm_backward(dg, cache.ln)
+    dxstar = np.repeat(dpool / n, n, axis=-2)
     adj = implicit_backward(cache, dxstar, store)
     grads["W"] = adj["W"]
     grads["Om"] = adj["Om"]
@@ -379,5 +528,5 @@ def model_backward(cache: ForwardCache, store: ParamStore,
     d_hseq = time_pool_backward(d_u, cache.pool)
     d_emb_in, enc_grads = bigru_backward(d_hseq, cache.gru, p)
     grads.update(enc_grads)
-    grads["emb"] = embed_backward(cache.bundle.ids, d_emb_in, p["emb"].shape[0])
-    return loss, grads
+    grads["emb"] = embed_backward(cache.ids, d_emb_in, p["emb"].shape[0])
+    return losses, grads

@@ -11,6 +11,7 @@ verification precision.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -43,11 +44,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     overflows, so computing both branches over the whole array and selecting
     gives the masked two-branch form bit for bit, without its boolean
     indexing. (minimum returns x itself when x is NaN, so even a NaN keeps
-    its sign bit, which exp(-|x|) would set.)
+    its sign bit, which exp(-|x|) would set.) The numerator is selected
+    before the one division, which is the division the branch would do.
     """
     e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -85,11 +86,20 @@ def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def embed_backward(ids: np.ndarray, d_out: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Scatter-add of upstream gradients into table rows; pad row stays frozen."""
+    """Scatter-add of upstream gradients into table rows; pad row stays frozen.
+
+    ids is (..., n, v): axes before the last two index graphs stacked on a
+    group axis, and each graph gets its own (vocab_size, h) gradient, summed
+    in the order of its own ids.
+    """
     h = d_out.shape[-1]
-    grad = np.zeros((vocab_size, h), dtype=d_out.dtype)
-    np.add.at(grad, ids.reshape(-1), d_out.reshape(-1, h))
-    grad[PAD_ID] = 0.0
+    lead = ids.shape[:-2]
+    grad = np.zeros((*lead, vocab_size, h), dtype=d_out.dtype)
+    rows = ids.reshape(math.prod(lead), -1)
+    if lead:
+        rows = rows + (np.arange(rows.shape[0]) * vocab_size)[:, None]
+    np.add.at(grad.reshape(-1, h), rows.reshape(-1), d_out.reshape(-1, h))
+    grad[..., PAD_ID, :] = 0.0
     return grad
 
 
@@ -116,10 +126,15 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.nd
 
 
 def layer_norm_backward(d_out: np.ndarray, cache: LayerNormCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dx, dgain, dbias)."""
+    """Returns (dx, dgain, dbias).
+
+    The parameter gradients sum over the rows (axis -2 of a 2-D or stacked
+    input); axes before it index independent groups and keep their own sums.
+    """
     x_hat, inv_std, gain = cache.x_hat, cache.inv_std, cache.gain
-    dgain = (d_out * x_hat).reshape(-1, x_hat.shape[-1]).sum(axis=0)
-    dbias = d_out.reshape(-1, x_hat.shape[-1]).sum(axis=0)
+    rows = (*x_hat.shape[:-2], -1, x_hat.shape[-1])
+    dgain = (d_out * x_hat).reshape(rows).sum(axis=-2)
+    dbias = d_out.reshape(rows).sum(axis=-2)
     dxh = d_out * gain
     mean_dxh = dxh.mean(axis=-1, keepdims=True)
     mean_dxh_xh = (dxh * x_hat).mean(axis=-1, keepdims=True)
@@ -141,18 +156,18 @@ class PoolCache:
 
 
 def time_pool(x: np.ndarray, mode: str, mask: np.ndarray) -> tuple[np.ndarray, PoolCache]:
-    """Pool (n, v, h) block states over real (unmasked) positions to (n, h)."""
-    lengths = mask.sum(axis=1)
+    """Pool (..., n, v, h) block states over real (unmasked) positions to (..., n, h)."""
+    lengths = mask.sum(axis=-1)
     if (lengths == 0).any():
         raise NumericError("all-pad-node: a block has no real token positions")
-    m = mask[:, :, None].astype(x.dtype)
+    m = mask[..., None].astype(x.dtype)
     if mode == "avg":
-        pooled = (x * m).sum(axis=1) / lengths[:, None].astype(x.dtype)
+        pooled = (x * m).sum(axis=-2) / lengths[..., None].astype(x.dtype)
         return pooled, PoolCache("avg", mask, lengths, None, x.shape)
     if mode == "max":
         neg = np.where(m > 0, x, np.array(-np.inf, dtype=x.dtype))
-        arg = neg.argmax(axis=1)  # (n, h)
-        pooled = np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
+        arg = neg.argmax(axis=-2)  # (..., n, h)
+        pooled = np.take_along_axis(x, arg[..., None, :], axis=-2)[..., 0, :]
         return pooled, PoolCache("max", mask, lengths, arg, x.shape)
     raise ValueError(f"unknown pool mode {mode!r}")
 
@@ -160,10 +175,10 @@ def time_pool(x: np.ndarray, mode: str, mask: np.ndarray) -> tuple[np.ndarray, P
 def time_pool_backward(d_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     dx = np.zeros(cache.shape, dtype=d_out.dtype)
     if cache.mode == "avg":
-        scale = d_out / cache.lengths[:, None].astype(d_out.dtype)
-        dx += scale[:, None, :] * cache.mask[:, :, None].astype(d_out.dtype)
+        scale = d_out / cache.lengths[..., None].astype(d_out.dtype)
+        dx += scale[..., None, :] * cache.mask[..., None].astype(d_out.dtype)
         return dx
-    np.put_along_axis(dx, cache.argmax[:, None, :], d_out[:, None, :], axis=1)
+    np.put_along_axis(dx, cache.argmax[..., None, :], d_out[..., None, :], axis=-2)
     return dx
 
 
@@ -179,6 +194,11 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # GRU (reset-before-candidate), one direction, vectorized across nodes
+#
+# Inputs are (..., n, v, h): axes before n stack graphs of one shape on a
+# group axis. Every product is a stacked matmul over (n, h) items, so BLAS
+# sees each graph's own operands and a stacked call gives each graph the bits
+# of a call on that graph alone.
 
 
 @dataclass
@@ -218,53 +238,53 @@ def gru_cell(x: np.ndarray, h_prev: np.ndarray, p: Mapping[str, np.ndarray],
 
 
 def _gru_direction(x: np.ndarray, mask: np.ndarray, p: Mapping[str, np.ndarray],
-                   prefix: str, reverse: bool) -> tuple[np.ndarray, list[GruStepCache]]:
-    n, v, h_in = x.shape
+                   prefix: str, reverse: bool, out: np.ndarray) -> list[GruStepCache]:
+    """Runs one direction, writing every position's state into `out`."""
+    *lead, n, v, _ = x.shape
     weights = [p[name] for name in _gru_names(prefix)]
-    h_dim = weights[1].shape[0]
-    h = np.zeros((n, h_dim), dtype=x.dtype)
-    out = np.zeros((n, v, h_dim), dtype=x.dtype)
+    h = np.zeros((*lead, n, weights[1].shape[0]), dtype=x.dtype)
     masks = mask.astype(x.dtype)
     caches: list[GruStepCache] = []
     steps = range(v - 1, -1, -1) if reverse else range(v)
     for t in steps:
-        m = masks[:, t, None]
-        xt = x[:, t, :]
+        m = masks[..., t, None]
+        xt = x[..., t, :]
         h_new, r, u, c = _gru_step(xt, h, *weights)
         caches.append(GruStepCache(xt, h, r, u, c, m))
         kept = m * h_new
-        out[:, t, :] = kept
+        out[..., t, :] = kept
         h = kept + (1.0 - m) * h
-    return out, caches
+    return caches
 
 
 def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
                            p: Mapping[str, np.ndarray], prefix: str,
                            reverse: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """BPTT for one direction; returns (dx, parameter grads)."""
-    n, v, _ = d_out.shape
+    """BPTT for one direction; returns (dx, parameter grads), the grads per
+    stacked graph."""
+    *lead, n, v, _ = d_out.shape
     names = _gru_names(prefix)
-    grads = {name: np.zeros_like(p[name]) for name in names}
+    grads = {name: np.zeros((*lead, *p[name].shape), dtype=p[name].dtype) for name in names}
     g_wr, g_ur, g_br, g_wu, g_uu, g_bu, g_wc, g_uc, g_bc = (grads[name] for name in names)
     wr_t, ur_t, _, wu_t, uu_t, _, wc_t, uc_t, _ = (p[name].T for name in names)
-    dx = np.zeros((n, v, caches[0].x.shape[1]), dtype=d_out.dtype)
-    dh_carry = np.zeros((n, ur_t.shape[1]), dtype=d_out.dtype)
+    dx = np.zeros((*lead, n, v, caches[0].x.shape[-1]), dtype=d_out.dtype)
+    dh_carry = np.zeros((*lead, n, ur_t.shape[1]), dtype=d_out.dtype)
     steps = range(v - 1, -1, -1) if reverse else range(v)
     for idx, t in reversed(list(enumerate(steps))):
         cch = caches[idx]
         m = cch.mask
-        dh_new = (d_out[:, t, :] + dh_carry) * m
+        dh_new = (d_out[..., t, :] + dh_carry) * m
         dh_prev = dh_carry * (1.0 - m)
         du = dh_new * (cch.c - cch.h_prev)
         dc = dh_new * cch.u
         one_minus_u = 1.0 - cch.u
         dh_prev_cell = dh_new * one_minus_u
         dpre_c = dc * (1.0 - cch.c * cch.c)
-        x_t = cch.x.T
-        h_prev_t = cch.h_prev.T
+        x_t = np.swapaxes(cch.x, -1, -2)
+        h_prev_t = np.swapaxes(cch.h_prev, -1, -2)
         g_wc += x_t @ dpre_c
-        g_uc += (cch.r * cch.h_prev).T @ dpre_c
-        g_bc += dpre_c.sum(axis=0)
+        g_uc += np.swapaxes(cch.r * cch.h_prev, -1, -2) @ dpre_c
+        g_bc += dpre_c.sum(axis=-2)
         drh = dpre_c @ uc_t
         dr = drh * cch.h_prev
         dh_prev_cell = dh_prev_cell + drh * cch.r
@@ -272,16 +292,16 @@ def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
         dpre_u = du * cch.u * one_minus_u
         g_wu += x_t @ dpre_u
         g_uu += h_prev_t @ dpre_u
-        g_bu += dpre_u.sum(axis=0)
+        g_bu += dpre_u.sum(axis=-2)
         dxt += dpre_u @ wu_t
         dh_prev_cell = dh_prev_cell + dpre_u @ uu_t
         dpre_r = dr * cch.r * (1.0 - cch.r)
         g_wr += x_t @ dpre_r
         g_ur += h_prev_t @ dpre_r
-        g_br += dpre_r.sum(axis=0)
+        g_br += dpre_r.sum(axis=-2)
         dxt += dpre_r @ wr_t
         dh_prev_cell = dh_prev_cell + dpre_r @ ur_t
-        dx[:, t, :] = dxt
+        dx[..., t, :] = dxt
         dh_carry = dh_prev + dh_prev_cell
     return dx, grads
 
@@ -296,40 +316,45 @@ class BiGruCache:
 
 def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
                   mask: np.ndarray) -> tuple[np.ndarray, BiGruCache]:
-    """Bidirectional GRU over (n, v, h) inputs, mixed back to h per position.
+    """Bidirectional GRU over (..., n, v, h) inputs, mixed back to h per position.
 
     Masked positions pass the hidden state through unchanged, so the reversed
     pass walks exactly the real token prefix of each block. Output positions
     under the mask are zero.
     """
-    if mask.sum(axis=1).min() == 0:
+    if mask.sum(axis=-1).min() == 0:
         raise NumericError("all-pad-node: a block has no real token positions")
-    out_f, cache_f = _gru_direction(x, mask, params, "gruf", reverse=False)
-    out_b, cache_b = _gru_direction(x, mask, params, "grub", reverse=True)
-    concat = np.concatenate([out_f, out_b], axis=-1)
+    h = params["gruf_Ur"].shape[0]
+    concat = np.empty((*x.shape[:-1], 2 * h), dtype=x.dtype)
+    cache_f = _gru_direction(x, mask, params, "gruf", False, concat[..., :h])
+    cache_b = _gru_direction(x, mask, params, "grub", True, concat[..., h:])
     mixed = concat @ params["mix_W"] + params["mix_b"]
-    mixed = mixed * mask[:, :, None].astype(x.dtype)
+    mixed = mixed * mask[..., None].astype(x.dtype)
     return mixed, BiGruCache(cache_f, cache_b, concat, mask)
 
 
 def bigru_backward(d_out: np.ndarray, cache: BiGruCache,
                    params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns (dx over the embedded input, grads for GRU and mixing params)."""
+    """Returns (dx over the embedded input, grads for GRU and mixing params),
+    the grads per stacked graph."""
     h = params["mix_b"].shape[0]
-    d_mixed = d_out * cache.mask[:, :, None].astype(d_out.dtype)
-    flat = d_mixed.reshape(-1, h)
+    lead = d_out.shape[:-3]
+    d_mixed = d_out * cache.mask[..., None].astype(d_out.dtype)
+    flat = d_mixed.reshape(*lead, -1, h)
+    concat = cache.concat.reshape(*lead, -1, cache.concat.shape[-1])
     grads = {
-        "mix_W": cache.concat.reshape(-1, cache.concat.shape[-1]).T @ flat,
-        "mix_b": flat.sum(axis=0),
+        "mix_W": np.swapaxes(concat, -1, -2) @ flat,
+        "mix_b": flat.sum(axis=-2),
     }
     d_concat = d_mixed @ params["mix_W"].T
     d_f = d_concat[..., : d_concat.shape[-1] // 2]
     d_b = d_concat[..., d_concat.shape[-1] // 2 :]
-    dx_f, g_f = gru_direction_backward(d_f, cache.fwd, params, "gruf", reverse=False)
+    dx, g_f = gru_direction_backward(d_f, cache.fwd, params, "gruf", reverse=False)
     dx_b, g_b = gru_direction_backward(d_b, cache.bwd, params, "grub", reverse=True)
+    dx += dx_b
     grads.update(g_f)
     grads.update(g_b)
-    return dx_f + dx_b, grads
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,40 @@ def naive_iterate(
     return SolverResult(x, residuals, len(residuals), False)
 
 
+@dataclass
+class StackResult:
+    """A stacked solve: one `SolverResult` per stacked problem, and the final
+    iterates stacked in `x_star` (each result's x_star is a view into it).
+
+    `iterations`, `converged` and `fallback_steps` summarize the stack for
+    logs: the steps the stack ran (its longest problem's), whether every
+    problem converged, and every problem's fallback steps in problem order.
+    """
+
+    x_star: np.ndarray
+    results: list[SolverResult]
+
+    @property
+    def iterations(self) -> int:
+        return max(r.iterations for r in self.results)
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self.results)
+
+    @property
+    def fallback_steps(self) -> list[int]:
+        return [step for r in self.results for step in r.fallback_steps]
+
+
 def anderson(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable,
     x0: np.ndarray,
     cfg: SolverConfig,
     tol: float | None = None,
-    on_iterate: Callable[[np.ndarray, int], str | None] | None = None,
-) -> SolverResult:
+    on_iterate: Callable | None = None,
+    stacked: bool = False,
+) -> SolverResult | StackResult:
     """Anderson-accelerated fixed-point solve of x = f(x).
 
     Keeps the last min(m, t+1) iterates and residuals g_i = f(x_i) - x_i,
@@ -110,76 +137,145 @@ def anderson(
     falls back to the plain update for that iteration (recorded in
     `fallback_steps`).
 
+    With stacked=True, x0's leading axis stacks independent problems that are
+    solved side by side and returned as a `StackResult`: each keeps its own
+    window, residuals, fallbacks and stop, and leaves the stack when it stops.
+    Then f(x, items) maps the iterates of the problems still running, `items`
+    being their positions in the stack (a tuple, the same object until one
+    stops), and on_iterate(fx, it, items) returns one stop reason or None per
+    problem. A problem that diverges raises `DivergenceError` for the stack,
+    with the message it raises alone. A single solve is the stack of one.
+
     The window lives in preallocated row buffers, oldest first, shifted when
     full. BLAS sums the small products below in an order that depends on
     operand layout, so the layouts are fixed: the difference matrix D is a
     C-contiguous (N, k-1) f64 array, the newest residual enters D^T g as a
     strided vector, and the combination multiplies a C-contiguous (N, k)
-    array of f(x)'s dtype. Norms are sqrt(v . v) in the iterate's dtype, as
+    array of f(x)'s dtype. Each product is a stacked matmul or `np.vecdot`
+    over per-problem operands, so BLAS sees the same operands as for one
+    problem alone. Norms are sqrt(v . v) in the iterate's dtype, as
     np.linalg.norm computes them.
     """
-    shape = np.asarray(x0).shape
-    x = np.asarray(x0).ravel().copy()
+    if not stacked:
+        stop = None if on_iterate is None else (
+            lambda fx, it, _items: [on_iterate(fx[0], it)])
+        solve = anderson(lambda x, _items: f(x[0])[None], np.asarray(x0)[None], cfg, tol,
+                         stop, stacked=True)
+        return solve.results[0]
+    x0 = np.asarray(x0)
+    size, shape = x0.shape[0], x0.shape[1:]
+    x = x0.reshape(size, -1).copy()
     tol = cfg.resolve_tol(x.dtype) if tol is None else tol
-    n, m = x.size, cfg.m
-    g_rows = np.empty((m, n))  # window of residuals f(x_i) - x_i, solved in f64
-    fx_rows: np.ndarray | None = None  # window of f(x_i), aligned with g_rows
-    g_last = np.empty((n, 2))[:, 0]  # the newest residual, as a strided vector
-    eyes: dict[int, np.ndarray] = {}
+    n, m = x.shape[1], cfg.m
+    items = tuple(range(size))  # stack positions of the problems still running
+    stack_shape = (size, *shape)
+    g_rows = np.empty((size, m, n))  # windows of residuals f(x_i) - x_i, solved in f64
+    fx_rows: np.ndarray | None = None  # windows of f(x_i), aligned with g_rows
+    x_out: np.ndarray | None = None  # each problem's final iterate
+    g_last = np.empty((size, n, 2))[..., :1]  # the newest residuals, as strided vectors
+    ridge_eyes: dict[int, np.ndarray] = {}
     k = 0
-    residuals: list[float] = []
-    fallback_steps: list[int] = []
+    residuals: list[list[float]] = [[] for _ in range(size)]
+    fallbacks: list[list[int]] = [[] for _ in range(size)]
+    results: list[SolverResult | None] = [None] * size
+
+    def finish(j: int, value: np.ndarray, it: int, converged: bool,
+               reason: str | None = None) -> None:
+        i = items[j]
+        x_out[i] = value
+        results[i] = SolverResult(x_out[i].reshape(shape), residuals[i], it, converged,
+                                  fallbacks[i], stop_reason=reason)
+
     for it in range(1, cfg.max_iter + 1):
-        fx = f(x.reshape(shape)).ravel()
+        fx = f(x.reshape(stack_shape), items).reshape(x.shape)
         if fx_rows is None:
-            fx_rows = np.empty((m, n), dtype=fx.dtype)
+            fx_rows = np.empty((size, m, n), dtype=fx.dtype)
+            x_out = np.empty((size, n), dtype=fx.dtype)
         g = fx - x
         if k == m:
-            g_rows[:-1] = g_rows[1:]
-            fx_rows[:-1] = fx_rows[1:]
+            g_rows[:, :-1] = g_rows[:, 1:]
+            fx_rows[:, :-1] = fx_rows[:, 1:]
         else:
             k += 1
-        g_rows[k - 1] = g
-        fx_rows[k - 1] = fx
-        gap = float(np.sqrt(g.dot(g)))
-        res = float(gap / (np.sqrt(x.dot(x)) + 1e-12))
-        residuals.append(res)
-        if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
-            raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
-        if res < tol:
-            return SolverResult(fx.reshape(shape), residuals, it, True, fallback_steps)
-        if on_iterate is not None:
-            reason = on_iterate(fx.reshape(shape), it)
-            if reason is not None:
-                return SolverResult(fx.reshape(shape), residuals, it, False,
-                                    fallback_steps, stop_reason=reason)
+        g_rows[:, k - 1] = g
+        fx_rows[:, k - 1] = fx
+        gaps = np.sqrt(np.vecdot(g, g))
+        x_norms = np.sqrt(np.vecdot(x, x))
+        if gaps.dtype != x_norms.dtype:
+            gaps = gaps.astype(x_norms.dtype)
+        # residuals are compared as Python floats, as one problem's would be
+        res = (gaps / (x_norms + 1e-12)).tolist()
+        stopped = []
+        for j, (i, gap, r) in enumerate(zip(items, gaps.tolist(), res)):
+            residuals[i].append(r)
+            if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
+                raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
+            if r < tol:
+                stopped.append(j)
+        for j in stopped:
+            finish(j, fx[j], it, True)
+        if on_iterate is not None and len(stopped) < len(items):
+            if stopped:
+                running = [j for j in range(len(items)) if j not in stopped]
+                reasons = on_iterate(fx[running].reshape(len(running), *shape), it,
+                                     tuple(items[j] for j in running))
+            else:
+                running = range(len(items))
+                reasons = on_iterate(fx.reshape(stack_shape), it, items)
+            for j, reason in zip(running, reasons):
+                if reason is not None:
+                    stopped.append(j)
+                    finish(j, fx[j], it, False, reason)
+        if stopped:
+            keep = [j for j in range(len(items)) if j not in stopped]
+            if not keep:
+                break
+            items = tuple(items[j] for j in keep)
+            stack_shape = (len(keep), *shape)
+            fx, g_rows, fx_rows = fx[keep], g_rows[keep], fx_rows[keep]
+            g_last = np.empty((len(keep), n, 2))[..., :1]
         if k == 1:
             x = fx.copy()
             continue
-        g_last[:] = g_rows[k - 1]
-        D = (g_rows[: k - 1] - g_rows[k - 1]).T.copy()
-        gram = D.T @ D
-        eye = eyes.get(k - 1)
-        if eye is None:
-            eye = eyes[k - 1] = np.eye(k - 1)
-        lhs = gram + cfg.ridge * (float(gram.trace()) / (k - 1)) * eye
-        rhs = -(D.T @ g_last)
+        g_last[..., 0] = g_rows[:, k - 1]
+        d = np.empty((len(items), n, k - 1))
+        d_t = d.transpose(0, 2, 1)
+        np.subtract(g_rows[:, : k - 1], g_rows[:, k - 1 : k], out=d_t)
+        gram = d_t @ d
+        # (ridge I) s equals the one-problem loop's (ridge s) I entry for entry
+        ridge_eye = ridge_eyes.get(k - 1)
+        if ridge_eye is None:
+            ridge_eye = ridge_eyes[k - 1] = cfg.ridge * np.eye(k - 1)
+        gram += ridge_eye * (gram.trace(axis1=1, axis2=2) / (k - 1))[:, None, None]
+        rhs = -(d_t @ g_last)
         try:
-            beta = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            beta = None
-        if beta is None or not np.isfinite(beta).all():
-            fallback_steps.append(it)
-            x = fx.copy()
-        else:
-            alpha = np.empty(k, dtype=fx.dtype)
-            alpha[:-1] = beta
-            alpha[-1] = 1.0 - beta.sum()
-            x = fx_rows[:k].T.copy() @ alpha
-    return SolverResult(x.reshape(shape), residuals, len(residuals), False, fallback_steps)
+            beta = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # some problem's matrix is singular: solve each
+            beta = np.full(rhs.shape, np.nan)
+            for j in range(len(items)):
+                try:
+                    beta[j] = np.linalg.solve(gram[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    pass
+        sums = beta.sum(axis=1)
+        failed = []
+        if not all(map(math.isfinite, sums.ravel().tolist())):  # some beta is not finite
+            failed = np.flatnonzero(~np.isfinite(beta).all(axis=(1, 2))).tolist()
+            beta[failed] = 0.0  # these problems take the plain update below
+            sums = beta.sum(axis=1)
+        alpha = np.concatenate((beta, 1.0 - sums[:, None]), axis=1).astype(fx.dtype)
+        x = (fx_rows[:, :k].transpose(0, 2, 1).copy() @ alpha)[..., 0]
+        for j in failed:
+            fallbacks[items[j]].append(it)
+            x[j] = fx[j]
+    else:
+        for j in range(len(items)):
+            finish(j, x[j], it, False)
+    return StackResult(x_out.reshape(size, *shape), results)
 
 
-def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) -> float:
+def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
+                  tol: float = 1e-12) -> float | np.ndarray:
     """Spectral radius of a nonnegative matrix by power iteration.
 
     Negative entries are folded with abs() first. Iterates on M + I so that
@@ -188,29 +284,50 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) 
     adding I shifts every eigenvalue of a nonnegative matrix by one. The
     product in each step's Rayleigh quotient is the next step's iterate, so
     a step costs one matrix-vector product.
+
+    Leading axes stack matrices of one shape; each gets its own iteration and
+    stop, and the result is an array over those axes (a float for one
+    matrix). The products are stacked matmuls and `np.vecdot`s over each
+    matrix's own operands, as for one matrix alone.
     """
     m = np.abs(np.asarray(matrix, dtype=np.float64))
-    n = m.shape[0]
-    if n == 0 or not m.any():
-        return 0.0
-    ms = m + np.eye(n)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    y = ms @ x
-    lam = 0.0
-    # np.dot calls the same BLAS kernels as `@` and np.linalg.norm, with less
-    # dispatch per call; the two buffers are reused across steps
-    for _ in range(max_iter):
-        norm = math.sqrt(np.dot(y, y))
-        if norm == 0.0:
-            return 0.0
-        np.divide(y, norm, out=x)
-        np.dot(ms, x, out=y)
-        lam_new = float(np.dot(x, y))
-        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
+    lead, n = m.shape[:-2], m.shape[-1]
+    m = m.reshape(math.prod(lead), n, n)
+    lam_out = np.zeros(m.shape[0])
+    items = np.flatnonzero(m.reshape(m.shape[0], -1).any(axis=1))
+    if n and len(items):
+        ms = m[items] + np.eye(n)
+        x = np.full((len(items), n), 1.0 / np.sqrt(n))
+        y = (ms @ x[..., None])[..., 0]
+        lam = [0.0] * len(items)
+        # the buffers and their column views are reused across steps, and the
+        # convergence test runs on Python floats, as for one matrix
+        x_col, y_col, norm = x[..., None], y[..., None], np.empty((len(items), 1))
+        for _ in range(max_iter):
+            np.sqrt(np.vecdot(y, y), out=norm[:, 0])
+            if 0.0 in norm.ravel().tolist():  # a zero iterate: radius 0, 1 before the shift
+                keep = np.flatnonzero(norm[:, 0])
+                lam_out[np.setdiff1d(items, items[keep])] = 1.0
+                items, ms, x, y, norm = items[keep], ms[keep], x[keep], y[keep], norm[keep]
+                x_col, y_col, lam = x[..., None], y[..., None], [lam[j] for j in keep]
+                if not len(keep):
+                    break
+            np.divide(y, norm, out=x)
+            np.matmul(ms, x_col, out=y_col)
+            lam_new = np.vecdot(x, y).tolist()
+            stop = [abs(new - old) < tol * max(1.0, abs(new)) for new, old in zip(lam_new, lam)]
             lam = lam_new
-            break
-        lam = lam_new
-    return max(lam - 1.0, 0.0)
+            if any(stop):
+                keep = [j for j, done in enumerate(stop) if not done]
+                lam_out[items[[j for j, done in enumerate(stop) if done]]] = [
+                    v for v, done in zip(lam, stop) if done]
+                items, ms, x, y, norm = items[keep], ms[keep], x[keep], y[keep], norm[keep]
+                x_col, y_col, lam = x[..., None], y[..., None], [lam[j] for j in keep]
+                if not keep:
+                    break
+        lam_out[items] = lam
+    lam_out = np.maximum(lam_out - 1.0, 0.0)
+    return float(lam_out[0]) if not lead else lam_out.reshape(lead)
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

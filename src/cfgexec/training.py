@@ -1,9 +1,11 @@
 """Training loop: Adam with the well-posedness projection after every step,
 per-epoch metrics logging, and bit-exact checkpointing.
 
-Graphs in a batch are processed independently and their gradients averaged.
-All randomness (shuffling, Gumbel noise, dropout) is derived statelessly from
-(seed, epoch, graph id), which makes interrupted runs resume bit-identically.
+Graphs in a batch are processed independently and their gradients averaged,
+summed in batch order; graphs of one shape within a short window of the batch
+run as one stacked group. All randomness (shuffling, Gumbel noise, dropout)
+is derived statelessly from (seed, epoch, graph id), which makes interrupted
+runs resume bit-identically.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from .model import (
     GraphBundle,
     ModelConfig,
     bce_with_logit,
+    cache_lambda_hat,
     derive_seed,
     forward,
     init_model_params,
     model_backward,
+    param_shapes,
     prepare_graph,
 )
 from .nn import NumericError, ParamStore, sigmoid
@@ -207,6 +211,20 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamStat
     absent = [name for name in PARAM_NAMES if name not in params]
     if absent:
         raise CheckpointError(f"checkpoint lacks parameters {', '.join(absent)}")
+    emb = params["emb"].shape
+    if len(emb) != 2 or emb[0] < 1:
+        raise CheckpointError(f"checkpoint emb has shape {emb}, not (vocab_size, h)")
+    # the shapes init_model_params gives for this h and vocabulary
+    expected = param_shapes(config.h, emb[0])
+    for role, found in tensors.items():
+        if set(found) != set(expected):
+            odd = sorted(set(found) ^ set(expected))
+            raise CheckpointError(f"checkpoint {role} tensors differ from the parameters "
+                                  f"in {', '.join(odd)}")
+        for name, arr in found.items():
+            if arr.shape != expected[name]:
+                raise CheckpointError(f"tensor {name!r} ({role}) has shape {arr.shape}, "
+                                      f"expected {expected[name]} for h={config.h}")
     frozen = np.zeros(params["emb"].shape, dtype=bool)
     frozen[0] = True
     store = ParamStore(params=params, frozen={"emb": frozen})
@@ -286,6 +304,39 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
     return float(np.mean(losses)), report, scores
 
 
+# Consecutive graphs of a batch that train together. Within a window, graphs
+# of one ids shape run as one stacked group, and each graph's gradients (about
+# 270 KB at h = 64) are held until the window is added to the batch sum in
+# batch order. A group's caches and its backward's temporaries take about
+# 680 KB per graph, and a window can be one group, so the window bounds the
+# extra memory; criterion 6's graphs come in three shapes, so a window of 6
+# gives groups of about two.
+GROUP_WINDOW = 6
+
+
+def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
+                  epoch: int) -> list[tuple[GraphBundle, float, float, dict[str, np.ndarray], float]]:
+    """Forward and backward of a window's graphs, grouped by ids shape;
+    returns (bundle, logit, loss, grads, gated PF eigenvalue) per graph, in
+    window order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, b in enumerate(window):
+        groups.setdefault(b.ids.shape, []).append(i)
+    out: list = [None] * len(window)
+    # largest group first: while a group runs, only smaller ones' gradients are held
+    for members in sorted(groups.values(), key=len, reverse=True):
+        bundles = [window[i] for i in members]
+        seeds = [derive_seed(config.seed, "train", epoch, b.graph.id) for b in bundles]
+        logits, cache = forward(bundles, store, config, mode="train", seed=seeds)
+        losses, grads = model_backward(cache, store, [b.label for b in bundles])
+        lams = cache.lambda_gated.tolist()
+        del cache  # the next group's forward need not share memory with this one
+        for j, i in enumerate(members):
+            out[i] = (window[i], logits[j], losses[j], {k: v[j] for k, v in grads.items()},
+                      lams[j])
+    return out
+
+
 def train(
     dataset: Sequence[CfgGraph],
     config: TrainConfig,
@@ -312,6 +363,7 @@ def train(
         if g.label is None:
             raise GraphValidationError("label-missing", f"graph {g.id!r} has no label")
     train_bundles = [prepare_graph(g, config) for g in dataset]
+    cache_lambda_hat(train_bundles)
     eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
     if vocab_size is None:
         vocab_size = 1 + max(max((max(seq) if seq else 0) for seq in g.nodes)
@@ -338,22 +390,21 @@ def train(
             batch = [train_bundles[i] for i in order[lo : lo + config.batch_size]]
             summed: dict[str, np.ndarray] | None = None
             lambda_batch = 0.0
-            for b in batch:
-                seed = derive_seed(config.seed, "train", epoch, b.graph.id)
-                logit, cache = forward(b, store, config, mode="train", seed=seed)
-                loss, grads = model_backward(cache, store, b.label)
-                if not np.isfinite(loss):
-                    raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
-                train_losses.append(loss)
-                train_scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
-                train_labels.append(b.label)
-                lambda_batch = max(lambda_batch, cache.lambda_gated)
-                if summed is None:
-                    summed = {k: v.astype(np.float64) for k, v in grads.items()}
-                else:
-                    for k, v in grads.items():
-                        summed[k] += v
-            mean_grads = {k: (v / len(batch)) for k, v in summed.items()}
+            for wlo in range(0, len(batch), GROUP_WINDOW):
+                for b, logit, loss, grads, lam in _train_window(
+                        batch[wlo : wlo + GROUP_WINDOW], store, config, epoch):
+                    if not np.isfinite(loss):
+                        raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
+                    train_losses.append(loss)
+                    train_scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
+                    train_labels.append(b.label)
+                    lambda_batch = max(lambda_batch, lam)
+                    if summed is None:
+                        summed = {k: v.astype(np.float64) for k, v in grads.items()}
+                    else:
+                        for k, v in grads.items():
+                            summed[k] += v
+                del grads  # the next window holds none of this one's gradients
             lambda_pf_max_seen = max(lambda_pf_max_seen, lambda_batch)
             lambda_ref = adam.update_lambda(lambda_batch)
             # Agent gates lie in [0, 1], so no gated eigenvalue exceeds the
@@ -363,7 +414,10 @@ def train(
             # lags the draws it summarizes and the per-draw estimates are
             # coarse, so neither can.
             lambda_bound = max(b.lambda_hat for b in batch)
-            adam_step(store, mean_grads, config, adam, max(lambda_ref, lambda_bound))
+            # the mean gradients are dropped after the step, so the next batch
+            # does not hold them
+            adam_step(store, {k: v / len(batch) for k, v in summed.items()}, config, adam,
+                      max(lambda_ref, lambda_bound))
             w_inf = float(np.abs(store.params["W"]).sum(axis=1).max())
             max_w_violation = max(max_w_violation, w_inf - config.kappa / lambda_ref)
         train_report = compute_metrics(np.array(train_scores), np.array(train_labels))

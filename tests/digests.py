@@ -15,6 +15,9 @@ What it hashes:
   lambda_pf_max, max_w_violation, and the best parameters' 8-seed eval loss
   and scores;
 - a small f64 training run with 2 eval noise seeds: parameters and CSV rows;
+- an f64 training run with the hard agent and send gates, on graphs of
+  several shapes, whose batches span several training windows: parameters
+  and CSV rows;
 - eval-mode logits, fixed points and solver logs of 100 deep graphs (80-96
   one-token blocks) at initial parameters, for the soft and the hard agent;
 - a 2-epoch `train_gcn` run: its eval-loss history and final parameters.
@@ -80,6 +83,16 @@ def f64_training() -> dict[str, str]:
             "f64 metrics csv": digest(*metrics_csv_rows(result.history))}
 
 
+def grouped_training() -> dict[str, str]:
+    ds = generate_dataset(SyntheticSpec(n_graphs=48, chain_length=4, node_count_range=(9, 12),
+                                        vocab_size=16, seed=11))
+    cfg = TrainConfig(h=8, precision="f64", epochs=2, batch_size=20, seed=3, v_max=6,
+                      agent_mode="hard", gate_axis="send")
+    result = train(ds[:36], cfg, ds[36:], vocab_size=16)
+    return {"grouped params": params_digest(result.store),
+            "grouped metrics csv": digest(*metrics_csv_rows(result.history))}
+
+
 def deep_graphs() -> dict[str, str]:
     ds = generate_dataset(SyntheticSpec(n_graphs=100, chain_length=60,
                                         node_count_range=(80, 96), tokens_per_block=1,
@@ -112,7 +125,7 @@ def gcn_history() -> dict[str, str]:
 
 
 def main() -> None:
-    for part in (criterion6_epochs, f64_training, deep_graphs, gcn_history):
+    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, gcn_history):
         for what, value in part().items():
             print(value, what, flush=True)
 

@@ -10,7 +10,8 @@ from cfgexec.graphs import read_graph_file, write_graph_file
 from cfgexec.model import derive_seed, forward, init_model_params, prepare_graph
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset
-from cfgexec.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
+from cfgexec.training import (AdamState, CheckpointError, TrainConfig, load_checkpoint,
+                               save_checkpoint, train)
 
 LISTING = """\
 f:
@@ -257,7 +258,19 @@ CHECKPOINT_DAMAGE = {
     "dtype-q9": _edit_manifest(lambda doc: doc.update(dtype="<q9")),
     "no-emb": _edit_manifest(lambda doc: doc.update(tensors=[
         rec for rec in doc["tensors"] if (rec["name"], rec["role"]) != ("emb", "param")])),
+    **{damage: _edit_manifest(edit) for damage, edit in (
+        ("W-4x8", lambda doc: _tensor(doc, "W", "param").update(shape=[4, 8])),
+        ("emb-1d", lambda doc: _tensor(doc, "emb", "param").update(shape=[16])),
+        ("adam-v-W-shape", lambda doc: _tensor(doc, "W", "adam_v").update(shape=[8, 8, 1])),
+        ("unknown-param", lambda doc: doc["tensors"].append(
+            dict(_tensor(doc, "W", "param"), name="W2"))),
+        ("no-adam-m-W", lambda doc: doc["tensors"].remove(_tensor(doc, "W", "adam_m"))),
+    )},
 }
+
+
+def _tensor(doc, name, role):
+    return next(rec for rec in doc["tensors"] if (rec["name"], rec["role"]) == (name, role))
 
 
 class TestCheckpointFiles:
@@ -270,6 +283,14 @@ class TestCheckpointFiles:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ")
+
+    @pytest.mark.parametrize("damage", ["W-4x8", "no-adam-m-W"])
+    def test_shape_and_moment_faults_fail_at_load(self, tmp_path, damage):
+        # both loaded before: the first failed in eval's matmul, the second at resume
+        base, _ = init_checkpoint(tmp_path)
+        CHECKPOINT_DAMAGE[damage](base.with_suffix(".json"), base.with_suffix(".bin"))
+        with pytest.raises(CheckpointError, match="W"):
+            load_checkpoint(base)
 
     def test_manifest_with_solver_kappa_loads_and_scores_the_same(self, tmp_path, capsys):
         # checkpoints written while SolverConfig had a kappa field carry it

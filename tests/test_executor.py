@@ -8,13 +8,18 @@ from cfgexec.executor import (
     agent_gate,
     gate_adjacency,
     gumbel_softmax,
-    one_hot,
     program_state,
 )
 from cfgexec.graphs import renormalize
 from cfgexec.solver import pf_eigenvalue, project_wellposed
 
 from oracles import dense_spectral_radius
+
+
+def one_hot(index, n, dtype):
+    a = np.zeros(n, dtype=dtype)
+    a[index] = 1.0
+    return a
 
 
 def random_a_hat(rng, n):
