@@ -377,6 +377,8 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if len(seeds) != len(bundles):
         raise ValueError(f"{len(bundles)} bundles need as many seeds, got {len(seeds)}")
+    if len({b.ids.shape for b in bundles}) != 1:
+        raise ValueError("a group needs at least one bundle, all of one ids shape")
     p = store.params
     dtype = config.dtype
     noise = _stack([np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
@@ -504,6 +506,8 @@ def model_backward(cache: ForwardCache | GroupCache, store: ParamStore,
 
 def _backward_group(cache: GroupCache, store: ParamStore,
                     labels: list[int]) -> tuple[list[float], dict[str, np.ndarray]]:
+    if len(labels) != len(cache.bundles):
+        raise ValueError(f"{len(cache.bundles)} graphs need as many labels, got {len(labels)}")
     p = store.params
     n = cache.bundles[0].n
     losses = [bce_with_logit(logit, y) for logit, y in zip(cache.logits, labels)]

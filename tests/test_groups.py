@@ -219,6 +219,23 @@ class TestGroupMatchesSingles:
         assert messages[0] == messages[1]
 
 
+class TestGroupArguments:
+    def test_bad_groups_are_rejected(self):
+        cfg = TrainConfig(seed=0, tau=64.0, h=8)
+        ds = generate_dataset(SyntheticSpec(n_graphs=30, chain_length=4, node_count_range=(9, 12),
+                                            vocab_size=16, seed=11))
+        bundles = [prepare_graph(g, cfg) for g in ds]
+        mixed = [bundles[0], next(b for b in bundles if b.ids.shape != bundles[0].ids.shape)]
+        store = init_model_params(cfg, 16, cfg.seed)
+        for group, seeds in (([], []), (mixed, [1, 2]), (bundles[:2], [1])):
+            with pytest.raises(ValueError):
+                forward(group, store, cfg, mode="train", seed=seeds)
+        same = [b for b in bundles if b.ids.shape == bundles[0].ids.shape][:2]
+        _, cache = forward(same, store, cfg, mode="train", seed=[1, 2])
+        with pytest.raises(ValueError, match="labels"):
+            model_backward(cache, store, [same[0].label])
+
+
 class TestTrainingWindows:
     def test_windows_give_the_bits_of_graph_by_graph(self, monkeypatch):
         ds = generate_dataset(SyntheticSpec(n_graphs=30, chain_length=4, node_count_range=(9, 12),
