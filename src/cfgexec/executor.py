@@ -21,6 +21,7 @@ Perron-Frobenius eigenvalue never exceeds that of the renormalized adjacency.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,7 +69,7 @@ def agent_gate(z: np.ndarray, hard: bool) -> np.ndarray:
 
     Both forms select the same top block at full weight; the soft form keeps
     the relative preference of the others. Hard mode takes its gradient
-    through the soft form (straight-through, see `JointStep._agent_dx`).
+    through the soft form (straight-through, see `JointStep._agent_dpre`).
     """
     if hard:
         a = np.zeros_like(z)
@@ -102,8 +103,19 @@ class StepCache:
     x_next: np.ndarray
 
     def take(self, items) -> "StepCache":
-        """The cache of the stacked graphs `items` (an index or index list)."""
+        """The cache of the stacked graphs `items` (an index or index list;
+        slice(None), for all of them, returns this cache)."""
+        if items == slice(None):
+            return self
         return StepCache(*(getattr(self, f.name)[items] for f in fields(self)))
+
+    @functools.cached_property
+    def agent_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The agent VJP's factors that do not depend on the cotangent, kept
+        across an adjoint solve's steps: each graph's largest z, its flat
+        index into z, its square, and 1 - s."""
+        z_top = self.z.max(axis=-1, keepdims=True)
+        return z_top, _top(self.z), z_top * z_top, 1.0 - self.s
 
 
 @dataclass
@@ -148,8 +160,11 @@ class JointStep:
         return step
 
     def take(self, items) -> "JointStep":
-        """The map of the stacked graphs `items` (an index or index list),
-        sharing the weights and slicing the injected term."""
+        """The map of the stacked graphs `items` (an index or index list;
+        slice(None), for all of them, returns this map), sharing the weights
+        and slicing the injected term."""
+        if items == slice(None):
+            return self
         step = copy.copy(self)
         for name in ("a_hat", "u", "noise", "inj", "inj_grad"):
             setattr(step, name, getattr(self, name)[items])
@@ -178,22 +193,20 @@ class JointStep:
             raise NumericError("nan-detected: non-finite transition output")
         return x_next, s, z, a, q
 
-    def _agent_dx(self, cache: StepCache, da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backprop the agent path: da -> (dX contribution, dW_s).
+    def _agent_dpre(self, cache: StepCache, da: np.ndarray) -> np.ndarray:
+        """Backprop the agent path from da to the program state's read-out
+        X w_s; it reaches X through w_s and w_s through X.
 
         The gradient is that of the soft gate z / max(z) in both modes; for a
         hard agent this is the straight-through estimate.
         """
         z, s = cache.z, cache.s
-        z_top = z.max(axis=-1, keepdims=True)
+        z_top, top, z_top_sq, one_minus_s = cache.agent_terms
         dz = da / z_top
-        dz.reshape(-1)[_top(z)] -= (np.vecdot(da, z)[..., None] / (z_top * z_top)).reshape(-1)
+        dz.reshape(-1)[top] -= (np.vecdot(da, z)[..., None] / z_top_sq).reshape(-1)
         dlogits = z * (dz - np.vecdot(dz, z)[..., None])
         ds = dlogits / (self.tau * s)
-        dpre = ds * s * (1.0 - s)
-        dx = dpre[..., None] @ self.w_s.reshape(1, -1)
-        dw_s = (_t(cache.x) @ dpre[..., None]).reshape(*dpre.shape[:-1], *self.w_s.shape)
-        return dx, dw_s
+        return ds * s * one_minus_s
 
     def vjp_x(self, cache: StepCache, v: np.ndarray) -> np.ndarray:
         """(dF/dX)^T v at the cached point, including the agent path."""
@@ -206,8 +219,7 @@ class JointStep:
             dax = self.a_hat @ dgated
             da = (dax * cache.x).sum(axis=-1)
             dx = cache.a[..., None] * dax
-        dx_agent, _ = self._agent_dx(cache, da)
-        return dx + dx_agent
+        return dx + self._agent_dpre(cache, da)[..., None] @ self.w_s.reshape(1, -1)
 
     def vjp_params(self, cache: StepCache, v: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of <v, F(X)> with respect to the step's parameters and U,
@@ -223,7 +235,8 @@ class JointStep:
         else:
             dax = self.a_hat @ dgated
             da = (dax * cache.x).sum(axis=-1)
-        _, dw_s = self._agent_dx(cache, da)
+        dpre = self._agent_dpre(cache, da)
+        dw_s = (_t(cache.x) @ dpre[..., None]).reshape(*dpre.shape[:-1], *self.w_s.shape)
         d_inj = v * self.inj_grad
         return {
             "W": dw,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,8 +162,7 @@ class GraphBundle:
     """A graph preprocessed for the model: padded ids, mask, and normalized adjacency.
 
     lambda_hat, the PF eigenvalue of the f64 renormalized adjacency, is
-    computed on first read and cached; only the training projection reads it,
-    and `cache_lambda_hat` fills it for many bundles at once.
+    computed on first read and cached; only the training projection reads it.
     """
 
     graph: CfgGraph
@@ -182,19 +181,6 @@ class GraphBundle:
     @property
     def label(self) -> int | None:
         return self.graph.label
-
-
-def cache_lambda_hat(bundles: Sequence[GraphBundle]) -> None:
-    """Compute `lambda_hat` of many bundles at once, one stacked power
-    iteration per graph size; each value has the bits of the bundle's own."""
-    sizes: dict[int, list[GraphBundle]] = {}
-    for b in bundles:
-        if "lambda_hat" not in b.__dict__:
-            sizes.setdefault(b.n, []).append(b)
-    for group in sizes.values():
-        lams = pf_eigenvalue(np.stack([renormalize(b.graph.adjacency) for b in group]))
-        for b, lam in zip(group, lams.tolist()):
-            b.__dict__["lambda_hat"] = lam  # where the cached_property keeps its value
 
 
 def prepare_graph(graph: CfgGraph, config: ModelConfig) -> GraphBundle:
@@ -360,12 +346,14 @@ def forward(bundle: GraphBundle | Sequence[GraphBundle], store: ParamStore,
 
     In eval mode the encoder output and the injected term depend on the
     bundle and the parameters but not on the seed. `reuse`, an eval cache of
-    the same bundles under the same parameters and config, supplies both, so
-    a forward under another noise draw runs only the agent and the solve.
+    the same bundles under the same parameters and config (of either form),
+    supplies both, so a forward under another noise draw runs only the agent
+    and the solve.
     """
+    if isinstance(reuse, ForwardCache):
+        reuse = reuse.group
     if isinstance(bundle, GraphBundle):
-        logits, group = _forward_group([bundle], store, config, mode, [seed], keep_trace,
-                                       None if reuse is None else reuse.group)
+        logits, group = _forward_group([bundle], store, config, mode, [seed], keep_trace, reuse)
         return logits[0], ForwardCache(group)
     return _forward_group(list(bundle), store, config, mode, list(seed), keep_trace, reuse)
 
@@ -426,7 +414,8 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
                      tol=tol, on_iterate=on_iterate if hard or keep_trace else None,
                      stacked=True)
     if not keep_trace:
-        solve.results[:] = [replace(r, residuals=r.residuals[-1:]) for r in solve.results]
+        for r in solve.results:
+            del r.residuals[:-1]
     x_star = ensure_finite("equilibrium", solve.x_star)
     _, step_cache = step.forward_cached(x_star)
     if keep_trace:
@@ -440,8 +429,8 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
     # estimate keeps it cheap
     lambda_gated = None
     if mode == "train":
-        lambda_gated = pf_eigenvalue(
-            gate_adjacency(step.a_hat, step_cache.a, config.gate_axis), max_iter=80, tol=1e-6)
+        lambda_gated = np.array([pf_eigenvalue(m, max_iter=80, tol=1e-6) for m in
+                                 gate_adjacency(step.a_hat, step_cache.a, config.gate_axis)])
     # one pooled row per graph, so the layer-norm gradients stay per graph
     pooled = x_star.mean(axis=-2, keepdims=True)
     g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])

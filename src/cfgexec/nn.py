@@ -280,10 +280,10 @@ def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
         one_minus_u = 1.0 - cch.u
         dh_prev_cell = dh_new * one_minus_u
         dpre_c = dc * (1.0 - cch.c * cch.c)
-        x_t = np.swapaxes(cch.x, -1, -2)
-        h_prev_t = np.swapaxes(cch.h_prev, -1, -2)
+        x_t = cch.x.swapaxes(-1, -2)
+        h_prev_t = cch.h_prev.swapaxes(-1, -2)
         g_wc += x_t @ dpre_c
-        g_uc += np.swapaxes(cch.r * cch.h_prev, -1, -2) @ dpre_c
+        g_uc += (cch.r * cch.h_prev).swapaxes(-1, -2) @ dpre_c
         g_bc += dpre_c.sum(axis=-2)
         drh = dpre_c @ uc_t
         dr = drh * cch.h_prev
@@ -343,7 +343,7 @@ def bigru_backward(d_out: np.ndarray, cache: BiGruCache,
     flat = d_mixed.reshape(*lead, -1, h)
     concat = cache.concat.reshape(*lead, -1, cache.concat.shape[-1])
     grads = {
-        "mix_W": np.swapaxes(concat, -1, -2) @ flat,
+        "mix_W": concat.swapaxes(-1, -2) @ flat,
         "mix_b": flat.sum(axis=-2),
     }
     d_concat = d_mixed @ params["mix_W"].T

@@ -154,7 +154,8 @@ def anderson(
     array of f(x)'s dtype. Each product is a stacked matmul or `np.vecdot`
     over per-problem operands, so BLAS sees the same operands as for one
     problem alone. Norms are sqrt(v . v) in the iterate's dtype, as
-    np.linalg.norm computes them.
+    np.linalg.norm computes them; a lone problem takes them as 1-D dots,
+    which cost less per call than stacked ones.
     """
     if not stacked:
         stop = None if on_iterate is None else (
@@ -173,7 +174,6 @@ def anderson(
     fx_rows: np.ndarray | None = None  # windows of f(x_i), aligned with g_rows
     x_out: np.ndarray | None = None  # each problem's final iterate
     g_last = np.empty((size, n, 2))[..., :1]  # the newest residuals, as strided vectors
-    ridge_eyes: dict[int, np.ndarray] = {}
     k = 0
     residuals: list[list[float]] = [[] for _ in range(size)]
     fallbacks: list[list[int]] = [[] for _ in range(size)]
@@ -199,14 +199,18 @@ def anderson(
             k += 1
         g_rows[:, k - 1] = g
         fx_rows[:, k - 1] = fx
-        gaps = np.sqrt(np.vecdot(g, g))
-        x_norms = np.sqrt(np.vecdot(x, x))
-        if gaps.dtype != x_norms.dtype:
-            gaps = gaps.astype(x_norms.dtype)
         # residuals are compared as Python floats, as one problem's would be
-        res = (gaps / (x_norms + 1e-12)).tolist()
+        if len(items) == 1:
+            gap = float(np.sqrt(g[0].dot(g[0])))
+            gaps, res = [gap], [float(gap / (np.sqrt(x[0].dot(x[0])) + 1e-12))]
+        else:
+            gaps = np.sqrt(np.vecdot(g, g))
+            x_norms = np.sqrt(np.vecdot(x, x))
+            # divided in the iterate's dtype, as a Python float gap would be
+            res = (gaps.astype(x_norms.dtype, copy=False) / (x_norms + 1e-12)).tolist()
+            gaps = gaps.tolist()
         stopped = []
-        for j, (i, gap, r) in enumerate(zip(items, gaps.tolist(), res)):
+        for j, (i, gap, r) in enumerate(zip(items, gaps, res)):
             residuals[i].append(r)
             if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
                 raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
@@ -242,11 +246,10 @@ def anderson(
         d_t = d.transpose(0, 2, 1)
         np.subtract(g_rows[:, : k - 1], g_rows[:, k - 1 : k], out=d_t)
         gram = d_t @ d
-        # (ridge I) s equals the one-problem loop's (ridge s) I entry for entry
-        ridge_eye = ridge_eyes.get(k - 1)
-        if ridge_eye is None:
-            ridge_eye = ridge_eyes[k - 1] = cfg.ridge * np.eye(k - 1)
-        gram += ridge_eye * (gram.trace(axis1=1, axis2=2) / (k - 1))[:, None, None]
+        # the ridge goes onto each matrix's diagonal, a strided view; the
+        # trace is the view's sum, in the diagonal's order
+        diag = gram.reshape(len(items), -1)[:, ::k]
+        diag += cfg.ridge * (diag.sum(axis=1, keepdims=True) / (k - 1))
         rhs = -(d_t @ g_last)
         try:
             beta = np.linalg.solve(gram, rhs)
@@ -263,7 +266,9 @@ def anderson(
             failed = np.flatnonzero(~np.isfinite(beta).all(axis=(1, 2))).tolist()
             beta[failed] = 0.0  # these problems take the plain update below
             sums = beta.sum(axis=1)
-        alpha = np.concatenate((beta, 1.0 - sums[:, None]), axis=1).astype(fx.dtype)
+        alpha = np.empty((len(items), k, 1), dtype=fx.dtype)
+        alpha[:, :-1] = beta
+        alpha[:, -1] = 1.0 - sums
         x = (fx_rows[:, :k].transpose(0, 2, 1).copy() @ alpha)[..., 0]
         for j in failed:
             fallbacks[items[j]].append(it)
@@ -274,8 +279,7 @@ def anderson(
     return StackResult(x_out.reshape(size, *shape), results)
 
 
-def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
-                  tol: float = 1e-12) -> float | np.ndarray:
+def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) -> float:
     """Spectral radius of a nonnegative matrix by power iteration.
 
     Negative entries are folded with abs() first. Iterates on M + I so that
@@ -284,50 +288,29 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
     adding I shifts every eigenvalue of a nonnegative matrix by one. The
     product in each step's Rayleigh quotient is the next step's iterate, so
     a step costs one matrix-vector product.
-
-    Leading axes stack matrices of one shape; each gets its own iteration and
-    stop, and the result is an array over those axes (a float for one
-    matrix). The products are stacked matmuls and `np.vecdot`s over each
-    matrix's own operands, as for one matrix alone.
     """
     m = np.abs(np.asarray(matrix, dtype=np.float64))
-    lead, n = m.shape[:-2], m.shape[-1]
-    m = m.reshape(math.prod(lead), n, n)
-    lam_out = np.zeros(m.shape[0])
-    items = np.flatnonzero(m.reshape(m.shape[0], -1).any(axis=1))
-    if n and len(items):
-        ms = m[items] + np.eye(n)
-        x = np.full((len(items), n), 1.0 / np.sqrt(n))
-        y = (ms @ x[..., None])[..., 0]
-        lam = [0.0] * len(items)
-        # the buffers and their column views are reused across steps, and the
-        # convergence test runs on Python floats, as for one matrix
-        x_col, y_col, norm = x[..., None], y[..., None], np.empty((len(items), 1))
-        for _ in range(max_iter):
-            np.sqrt(np.vecdot(y, y), out=norm[:, 0])
-            if 0.0 in norm.ravel().tolist():  # a zero iterate: radius 0, 1 before the shift
-                keep = np.flatnonzero(norm[:, 0])
-                lam_out[np.setdiff1d(items, items[keep])] = 1.0
-                items, ms, x, y, norm = items[keep], ms[keep], x[keep], y[keep], norm[keep]
-                x_col, y_col, lam = x[..., None], y[..., None], [lam[j] for j in keep]
-                if not len(keep):
-                    break
-            np.divide(y, norm, out=x)
-            np.matmul(ms, x_col, out=y_col)
-            lam_new = np.vecdot(x, y).tolist()
-            stop = [abs(new - old) < tol * max(1.0, abs(new)) for new, old in zip(lam_new, lam)]
+    n = m.shape[0]
+    if n == 0 or not m.any():
+        return 0.0
+    ms = m + np.eye(n)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    y = ms @ x
+    lam = 0.0
+    # np.dot calls the same BLAS kernels as `@` and np.linalg.norm, with less
+    # dispatch per call; the two buffers are reused across steps
+    for _ in range(max_iter):
+        norm = math.sqrt(np.dot(y, y))
+        if norm == 0.0:
+            return 0.0
+        np.divide(y, norm, out=x)
+        np.dot(ms, x, out=y)
+        lam_new = float(np.dot(x, y))
+        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
             lam = lam_new
-            if any(stop):
-                keep = [j for j, done in enumerate(stop) if not done]
-                lam_out[items[[j for j, done in enumerate(stop) if done]]] = [
-                    v for v, done in zip(lam, stop) if done]
-                items, ms, x, y, norm = items[keep], ms[keep], x[keep], y[keep], norm[keep]
-                x_col, y_col, lam = x[..., None], y[..., None], [lam[j] for j in keep]
-                if not keep:
-                    break
-        lam_out[items] = lam
-    lam_out = np.maximum(lam_out - 1.0, 0.0)
-    return float(lam_out[0]) if not lead else lam_out.reshape(lead)
+            break
+        lam = lam_new
+    return max(lam - 1.0, 0.0)
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

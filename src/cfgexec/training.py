@@ -25,7 +25,6 @@ from .model import (
     GraphBundle,
     ModelConfig,
     bce_with_logit,
-    cache_lambda_hat,
     derive_seed,
     forward,
     init_model_params,
@@ -318,7 +317,7 @@ def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: Trai
                   epoch: int) -> list[tuple[GraphBundle, float, float, dict[str, np.ndarray], float]]:
     """Forward and backward of a window's graphs, grouped by ids shape;
     returns (bundle, logit, loss, grads, gated PF eigenvalue) per graph, in
-    window order."""
+    window order. A non-finite loss raises as soon as its group returns."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, b in enumerate(window):
         groups.setdefault(b.ids.shape, []).append(i)
@@ -329,6 +328,9 @@ def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: Trai
         seeds = [derive_seed(config.seed, "train", epoch, b.graph.id) for b in bundles]
         logits, cache = forward(bundles, store, config, mode="train", seed=seeds)
         losses, grads = model_backward(cache, store, [b.label for b in bundles])
+        for b, loss in zip(bundles, losses):
+            if not np.isfinite(loss):
+                raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
         lams = cache.lambda_gated.tolist()
         del cache  # the next group's forward need not share memory with this one
         for j, i in enumerate(members):
@@ -363,7 +365,6 @@ def train(
         if g.label is None:
             raise GraphValidationError("label-missing", f"graph {g.id!r} has no label")
     train_bundles = [prepare_graph(g, config) for g in dataset]
-    cache_lambda_hat(train_bundles)
     eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
     if vocab_size is None:
         vocab_size = 1 + max(max((max(seq) if seq else 0) for seq in g.nodes)
@@ -393,8 +394,6 @@ def train(
             for wlo in range(0, len(batch), GROUP_WINDOW):
                 for b, logit, loss, grads, lam in _train_window(
                         batch[wlo : wlo + GROUP_WINDOW], store, config, epoch):
-                    if not np.isfinite(loss):
-                        raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
                     train_losses.append(loss)
                     train_scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
                     train_labels.append(b.label)

@@ -238,10 +238,8 @@ class TestStraightThrough:
         assert np.array_equal(c_hard.a, one_hot(int(np.argmax(c_hard.z)), n, np.float64))
         np.testing.assert_array_equal(c_soft.z, c_hard.z)
         da = rng.normal(size=n)
-        dx_soft, dws_soft = soft._agent_dx(c_soft, da)
-        dx_hard, dws_hard = hard._agent_dx(c_hard, da)
-        np.testing.assert_array_equal(dx_soft, dx_hard)
-        np.testing.assert_array_equal(dws_soft, dws_hard)
+        # dX and dW_s of the agent path are this times w_s and X
+        np.testing.assert_array_equal(soft._agent_dpre(c_soft, da), hard._agent_dpre(c_hard, da))
 
     def test_joint_step_matches_op_composition(self):
         rng = np.random.default_rng(15)

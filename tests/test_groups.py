@@ -11,7 +11,7 @@ import pytest
 
 from cfgexec import training
 from cfgexec.model import GraphBundle, forward, init_model_params, model_backward, prepare_graph
-from cfgexec.solver import DivergenceError, SolverConfig, anderson, pf_eigenvalue
+from cfgexec.solver import DivergenceError, SolverConfig, anderson
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import TrainConfig, metrics_csv_rows, train
 
@@ -144,15 +144,21 @@ class TestSolverStack:
         assert str(got.value) == str(want.value)
 
 
-class TestPfStack:
-    def test_stacked_matches_each_matrix(self):
-        rng = np.random.default_rng(3)
-        mats = rng.random((6, 9, 9)) * (rng.random((6, 9, 9)) < 0.4)
-        mats[2] = 0.0
-        got = pf_eigenvalue(mats, max_iter=80, tol=1e-6)
-        assert got.shape == (6,)
-        assert got.tolist() == [pf_eigenvalue(m, max_iter=80, tol=1e-6) for m in mats]
-        assert got[2] == 0.0
+class TestReuse:
+    def test_either_cache_form_serves_either_call_form(self):
+        cfg = TrainConfig(seed=0, tau=64.0, h=16)
+        b, other = one_shape(cfg)[:2]
+        store = init_model_params(cfg, 16, cfg.seed)
+        _, first = forward(b, store, cfg, mode="eval", seed=1)
+        want, want_cache = forward(b, store, cfg, mode="eval", seed=7)
+        for reuse in (first, first.group):
+            logit, cache = forward(b, store, cfg, mode="eval", seed=7, reuse=reuse)
+            logits, group = forward([b], store, cfg, mode="eval", seed=[7], reuse=reuse)
+            assert logit == logits[0] == want
+            assert same_array(cache.x_star, want_cache.x_star)
+            assert same_array(group.x_star[0], want_cache.x_star)
+            with pytest.raises(ValueError, match="reuse"):
+                forward(other, store, cfg, mode="eval", seed=7, reuse=reuse)
 
 
 class TestGroupMatchesSingles:
