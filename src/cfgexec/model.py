@@ -159,20 +159,12 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
 
 @dataclass(frozen=True, eq=False)
 class GraphBundle:
-    """A graph preprocessed for the model: padded ids, mask, and normalized adjacency.
-
-    lambda_hat, the PF eigenvalue of the f64 renormalized adjacency, is
-    computed on first read and cached; only the training projection reads it.
-    """
+    """A graph preprocessed for the model: padded ids, mask, and normalized adjacency."""
 
     graph: CfgGraph
     ids: np.ndarray
     mask: np.ndarray
     a_hat: np.ndarray
-
-    @functools.cached_property
-    def lambda_hat(self) -> float:
-        return pf_eigenvalue(renormalize(self.graph.adjacency))
 
     @property
     def n(self) -> int:
@@ -181,6 +173,37 @@ class GraphBundle:
     @property
     def label(self) -> int | None:
         return self.graph.label
+
+
+def _pf_by_size(sizes: Sequence[int], matrix: Callable[[int], np.ndarray],
+                **kwargs) -> list[float]:
+    """`pf_eigenvalue` of the (n, n) matrices `matrix(i)`, n = sizes[i], as
+    one stacked call per n; every matrix gets the bits of its lone call. The
+    matrices of one n are built and stacked only when their call runs."""
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    out = [0.0] * len(sizes)
+    for members in by_size.values():
+        lams = pf_eigenvalue(_stack([matrix(i) for i in members]), **kwargs)
+        for i, lam in zip(members, lams.tolist()):
+            out[i] = lam
+    return out
+
+
+def lambda_hats(bundles: Sequence[GraphBundle]) -> list[float]:
+    """Each bundle's lambda_hat, the PF eigenvalue of its f64 renormalized
+    adjacency (not of the config-dtype `a_hat`), one stacked power iteration
+    per graph size."""
+    return _pf_by_size([b.n for b in bundles],
+                       lambda i: renormalize(bundles[i].graph.adjacency))
+
+
+def gated_eigenvalues(gated: Sequence[np.ndarray]) -> list[float]:
+    """The gated PF estimate of each gated adjacency, one stacked power
+    iteration per graph size. The estimate is coarse and cheap: training
+    smooths a batch's max of it into lambda_ref."""
+    return _pf_by_size([m.shape[-1] for m in gated], gated.__getitem__, max_iter=80, tol=1e-6)
 
 
 def prepare_graph(graph: CfgGraph, config: ModelConfig) -> GraphBundle:
@@ -224,7 +247,10 @@ class GroupCache:
     stacked on a leading axis and linearized at the equilibrium.
 
     Per-graph values are lists in group order; `solve` holds each graph's
-    `SolverResult` and the stacked fixed points.
+    `SolverResult` and the stacked fixed points. The linearization is
+    computed on first read, so an eval forward that only scores never
+    linearizes. It uses the weights the forward ran with: `step` holds its
+    own copy of them, so a read after an optimizer step gives the same bits.
     """
 
     bundles: list[GraphBundle]
@@ -235,9 +261,7 @@ class GroupCache:
     pool: PoolCache
     keep: np.ndarray | None
     step: JointStep
-    step_cache: StepCache
     solve: StackResult
-    lambda_gated: np.ndarray | None  # None in eval mode
     ln: LayerNormCache
     g_vec: np.ndarray
     logits: list[float]
@@ -247,6 +271,17 @@ class GroupCache:
     @property
     def x_star(self) -> np.ndarray:
         return self.solve.x_star
+
+    @functools.cached_property
+    def step_cache(self) -> StepCache:
+        """The transition linearized at the equilibrium."""
+        return self.step.forward_cached(self.x_star)[1]
+
+    @property
+    def gated_adjacency(self) -> np.ndarray:
+        """Each graph's adjacency gated by the agent at the equilibrium, from
+        which training estimates the gated PF eigenvalue."""
+        return gate_adjacency(self.step.a_hat, self.step_cache.a, self.config.gate_axis)
 
     def retained_floats(self) -> int:
         """Retained-activation accounting used by the memory-contract check."""
@@ -305,11 +340,6 @@ class ForwardCache:
         return self.group.solve.results[0]
 
     @property
-    def lambda_gated(self) -> float | None:
-        lam = self.group.lambda_gated
-        return None if lam is None else float(lam[0])
-
-    @property
     def termination(self) -> str:
         return self.group.terminations[0]
 
@@ -341,8 +371,9 @@ def forward(bundle: GraphBundle | Sequence[GraphBundle], store: ParamStore,
     unless keep_trace asks for the per-iteration log: every residual and the
     block the agent ranks first (argmax z) at each iterate. Without it the
     cache size does not depend on how many iterations the solve took. The
-    gated PF eigenvalue, which only the training projection reads, is
-    computed in train mode alone; eval caches hold None.
+    cache linearizes the transition at the equilibrium on first read, with
+    the weights of this call even after they change; the forward estimates
+    no PF eigenvalue (training estimates a whole batch's at once).
 
     In eval mode the encoder output and the injected term depend on the
     bundle and the parameters but not on the seed. `reuse`, an eval cache of
@@ -391,9 +422,11 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         else:
             u = u0
         ensure_finite("encoder output", u)
+        # the weights are copied: the optimizer updates the store's arrays in
+        # place, and the cache linearizes with them on first read
         step = JointStep(
-            a_hat=_stack([b.a_hat for b in bundles]), u=u, w_s=p["ws"], w=p["W"],
-            omega=p["Om"], bias=p["cb"], noise=noise, tau=config.tau,
+            a_hat=_stack([b.a_hat for b in bundles]), u=u, w_s=np.copy(p["ws"]),
+            w=np.copy(p["W"]), omega=p["Om"], bias=p["cb"], noise=noise, tau=config.tau,
             hard=config.agent_mode == "hard", phi=config.phi, gate_axis=config.gate_axis,
         )
     tol = config.solver.resolve_tol(dtype)
@@ -417,20 +450,6 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         for r in solve.results:
             del r.residuals[:-1]
     x_star = ensure_finite("equilibrium", solve.x_star)
-    _, step_cache = step.forward_cached(x_star)
-    if keep_trace:
-        # the solver returns a converged iterate without calling on_iterate
-        for sel, r, z in zip(selected, solve.results, step_cache.z):
-            if r.converged:
-                sel.append(int(np.argmax(z)))
-    # training projects W against max(lambda_ref, lambda_hat), where
-    # lambda_ref smooths the batch max of this estimate, so it sets the
-    # projection radius whenever lambda_ref exceeds lambda_hat; a coarse
-    # estimate keeps it cheap
-    lambda_gated = None
-    if mode == "train":
-        lambda_gated = np.array([pf_eigenvalue(m, max_iter=80, tol=1e-6) for m in
-                                 gate_adjacency(step.a_hat, step_cache.a, config.gate_axis)])
     # one pooled row per graph, so the layer-norm gradients stay per graph
     pooled = x_star.mean(axis=-2, keepdims=True)
     g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])
@@ -440,9 +459,14 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
                     for r in solve.results]
     cache = GroupCache(
         bundles=bundles, config=config, mode=mode, ids=ids, gru=gru_cache, pool=pool_cache,
-        keep=keep, step=step, step_cache=step_cache, solve=solve, lambda_gated=lambda_gated,
-        ln=ln_cache, g_vec=g_vec, logits=logits, terminations=terminations, selected=selected,
+        keep=keep, step=step, solve=solve, ln=ln_cache, g_vec=g_vec, logits=logits,
+        terminations=terminations, selected=selected,
     )
+    if keep_trace:
+        # the solver returns a converged iterate without calling on_iterate
+        for sel, r, z in zip(selected, solve.results, cache.step_cache.z):
+            if r.converged:
+                sel.append(int(np.argmax(z)))
     return logits, cache
 
 

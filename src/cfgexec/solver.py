@@ -279,7 +279,8 @@ def anderson(
     return StackResult(x_out.reshape(size, *shape), results)
 
 
-def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) -> float:
+def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
+                  tol: float = 1e-12) -> float | np.ndarray:
     """Spectral radius of a nonnegative matrix by power iteration.
 
     Negative entries are folded with abs() first. Iterates on M + I so that
@@ -288,29 +289,48 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000, tol: float = 1e-12) 
     adding I shifts every eigenvalue of a nonnegative matrix by one. The
     product in each step's Rayleigh quotient is the next step's iterate, so
     a step costs one matrix-vector product.
+
+    Leading axes stack matrices of one shape, and the result is an array
+    over them (a float for one matrix, the stack of one). Each matrix keeps
+    its own stop and leaves the stack when it stops. The products are
+    stacked matmuls and `np.vecdot`s over each matrix's own operands, so a
+    matrix gets the bits it gets alone; a stack saves per-call dispatch, and
+    a stack of one costs about three times a plain 1-D loop.
     """
-    m = np.abs(np.asarray(matrix, dtype=np.float64))
-    n = m.shape[0]
-    if n == 0 or not m.any():
-        return 0.0
-    ms = m + np.eye(n)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    y = ms @ x
-    lam = 0.0
-    # np.dot calls the same BLAS kernels as `@` and np.linalg.norm, with less
-    # dispatch per call; the two buffers are reused across steps
-    for _ in range(max_iter):
-        norm = math.sqrt(np.dot(y, y))
-        if norm == 0.0:
-            return 0.0
-        np.divide(y, norm, out=x)
-        np.dot(ms, x, out=y)
-        lam_new = float(np.dot(x, y))
-        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
+    # a new C-ordered array, which becomes M + I in place
+    m = np.abs(matrix, dtype=np.float64, order="C")
+    lead, n = m.shape[:-2], m.shape[-1]
+    m = m.reshape(math.prod(lead), n, n)
+    lam_out = np.zeros(len(m))  # estimates before the shift; 0 for a zero matrix
+    items = np.flatnonzero(m.reshape(len(m), -1).any(axis=1))
+    if len(items):
+        ms = m if len(items) == len(m) else m[items]
+        diag = np.arange(n)
+        ms[:, diag, diag] += 1.0
+        x = np.full((len(items), n), 1.0 / np.sqrt(n))
+        y = np.matmul(ms, x[..., None])[..., 0]
+        lam = np.zeros(len(items))
+        for _ in range(max_iter):
+            norm = np.sqrt(np.vecdot(y, y))
+            if not norm.all():  # a zero iterate: radius 0
+                keep = norm != 0.0
+                items, ms, x, y, lam, norm = (v[keep] for v in (items, ms, x, y, lam, norm))
+                if not len(items):
+                    break
+            np.divide(y, norm[:, None], out=x)
+            np.matmul(ms, x[..., None], out=y[..., None])
+            lam_new = np.vecdot(x, y)
+            stop = np.abs(lam_new - lam) < tol * np.maximum(1.0, np.abs(lam_new))
             lam = lam_new
-            break
-        lam = lam_new
-    return max(lam - 1.0, 0.0)
+            if stop.any():
+                lam_out[items[stop]] = lam[stop]
+                keep = ~stop
+                items, ms, x, y, lam = (v[keep] for v in (items, ms, x, y, lam))
+                if not len(items):
+                    break
+        lam_out[items] = lam
+    lam_out = np.maximum(lam_out - 1.0, 0.0)
+    return float(lam_out[0]) if not lead else lam_out.reshape(lead)
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

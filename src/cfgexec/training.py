@@ -27,7 +27,9 @@ from .model import (
     bce_with_logit,
     derive_seed,
     forward,
+    gated_eigenvalues,
     init_model_params,
+    lambda_hats,
     model_backward,
     param_shapes,
     prepare_graph,
@@ -314,9 +316,10 @@ GROUP_WINDOW = 6
 
 
 def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
-                  epoch: int) -> list[tuple[GraphBundle, float, float, dict[str, np.ndarray], float]]:
+                  epoch: int) -> list[tuple[GraphBundle, float, float, dict[str, np.ndarray],
+                                            np.ndarray]]:
     """Forward and backward of a window's graphs, grouped by ids shape;
-    returns (bundle, logit, loss, grads, gated PF eigenvalue) per graph, in
+    returns (bundle, logit, loss, grads, gated adjacency) per graph, in
     window order. A non-finite loss raises as soon as its group returns."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, b in enumerate(window):
@@ -331,11 +334,11 @@ def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: Trai
         for b, loss in zip(bundles, losses):
             if not np.isfinite(loss):
                 raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
-        lams = cache.lambda_gated.tolist()
+        gated = cache.gated_adjacency
         del cache  # the next group's forward need not share memory with this one
         for j, i in enumerate(members):
             out[i] = (window[i], logits[j], losses[j], {k: v[j] for k, v in grads.items()},
-                      lams[j])
+                      gated[j])
     return out
 
 
@@ -373,6 +376,8 @@ def train(
         store = init_model_params(config, vocab_size, config.seed)
     if adam is None:
         adam = AdamState.init(store)
+    # every training graph's ungated PF eigenvalue, once per call
+    lambda_hat = lambda_hats(train_bundles)
     history: list[EpochRecord] = []
     best_auc = -np.inf
     best_epoch = -1
@@ -388,22 +393,25 @@ def train(
         train_labels: list[int] = []
         train_losses: list[float] = []
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_bundles[i] for i in order[lo : lo + config.batch_size]]
+            members = order[lo : lo + config.batch_size]
+            batch = [train_bundles[i] for i in members]
             summed: dict[str, np.ndarray] | None = None
-            lambda_batch = 0.0
+            gated: list[np.ndarray] = []  # held to the end of the batch
             for wlo in range(0, len(batch), GROUP_WINDOW):
-                for b, logit, loss, grads, lam in _train_window(
+                for b, logit, loss, grads, a_gated in _train_window(
                         batch[wlo : wlo + GROUP_WINDOW], store, config, epoch):
                     train_losses.append(loss)
                     train_scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
                     train_labels.append(b.label)
-                    lambda_batch = max(lambda_batch, lam)
+                    gated.append(a_gated)
                     if summed is None:
                         summed = {k: v.astype(np.float64) for k, v in grads.items()}
                     else:
                         for k, v in grads.items():
                             summed[k] += v
                 del grads  # the next window holds none of this one's gradients
+            # the batch max of the gated estimates, in batch order
+            lambda_batch = max([0.0, *gated_eigenvalues(gated)])
             lambda_pf_max_seen = max(lambda_pf_max_seen, lambda_batch)
             lambda_ref = adam.update_lambda(lambda_batch)
             # Agent gates lie in [0, 1], so no gated eigenvalue exceeds the
@@ -412,7 +420,7 @@ def train(
             # agent draw, including the next batch's; the smoothed estimate
             # lags the draws it summarizes and the per-draw estimates are
             # coarse, so neither can.
-            lambda_bound = max(b.lambda_hat for b in batch)
+            lambda_bound = max(lambda_hat[i] for i in members)
             # the mean gradients are dropped after the step, so the next batch
             # does not hold them
             adam_step(store, {k: v / len(batch) for k, v in summed.items()}, config, adam,

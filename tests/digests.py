@@ -14,10 +14,11 @@ What it hashes:
   final and best-AUC parameters, the metrics CSV rows, lambda_ref,
   lambda_pf_max, max_w_violation, and the best parameters' 8-seed eval loss
   and scores;
-- a small f64 training run with 2 eval noise seeds: parameters and CSV rows;
+- a small f64 training run with 2 eval noise seeds: parameters, CSV rows,
+  lambda_ref and lambda_pf_max;
 - an f64 training run with the hard agent and send gates, on graphs of
-  several shapes, whose batches span several training windows: parameters
-  and CSV rows;
+  several shapes, whose batches span several training windows: parameters,
+  CSV rows, lambda_ref and lambda_pf_max;
 - eval-mode logits, fixed points and solver logs of 100 deep graphs (80-96
   one-token blocks) at initial parameters, for the soft and the hard agent;
 - a 2-epoch `train_gcn` run: its eval-loss history and final parameters.
@@ -55,6 +56,11 @@ def params_digest(store) -> str:
     return digest(*[x for k in sorted(store.params) for x in (k, store.params[k])])
 
 
+def lambda_digests(what: str, result) -> dict[str, str]:
+    return {f"{what} lambda_ref": digest(np.float64(result.adam.lambda_ref)),
+            f"{what} lambda_pf_max": digest(np.float64(result.lambda_pf_max))}
+
+
 def criterion6_epochs() -> dict[str, str]:
     spec = SyntheticSpec(n_graphs=1000, chain_length=8, seed=42)
     train_set, eval_set = split(generate_dataset(spec), 0.75, 42)
@@ -80,7 +86,8 @@ def f64_training() -> dict[str, str]:
                       eval_noise_seeds=2)
     result = train(ds[:18], cfg, ds[18:], vocab_size=16)
     return {"f64 params": params_digest(result.store),
-            "f64 metrics csv": digest(*metrics_csv_rows(result.history))}
+            "f64 metrics csv": digest(*metrics_csv_rows(result.history)),
+            **lambda_digests("f64", result)}
 
 
 def grouped_training() -> dict[str, str]:
@@ -90,7 +97,8 @@ def grouped_training() -> dict[str, str]:
                       agent_mode="hard", gate_axis="send")
     result = train(ds[:36], cfg, ds[36:], vocab_size=16)
     return {"grouped params": params_digest(result.store),
-            "grouped metrics csv": digest(*metrics_csv_rows(result.history))}
+            "grouped metrics csv": digest(*metrics_csv_rows(result.history)),
+            **lambda_digests("grouped", result)}
 
 
 def deep_graphs() -> dict[str, str]:

@@ -17,7 +17,7 @@ from cfgexec.graphs import (
     validate_graph,
     write_graph_file,
 )
-from cfgexec.model import ModelConfig, prepare_graph
+from cfgexec.model import ModelConfig, lambda_hats, prepare_graph
 from cfgexec.solver import pf_eigenvalue
 
 from oracles import dense_spectral_radius
@@ -118,8 +118,8 @@ class TestRenormalize:
 
     def test_cached_pf_matches_power_iteration(self):
         g = chain(4)
-        cached = prepare_graph(g, ModelConfig()).lambda_hat
-        assert cached == pytest.approx(pf_eigenvalue(renormalize(g.adjacency)), abs=1e-8)
+        lam = lambda_hats([prepare_graph(g, ModelConfig())])[0]
+        assert lam == pytest.approx(pf_eigenvalue(renormalize(g.adjacency)), abs=1e-8)
 
 
 class TestMerge:

@@ -57,7 +57,7 @@ def assert_group_matches_singles(bundles, store, cfg, seeds, keep_trace=False):
         assert_same_solve(cache.solve.results[j], single.solver_result)
         assert cache.terminations[j] == single.termination
         assert cache.selected[j] == single.selected
-        assert cache.lambda_gated[j] == single.lambda_gated
+        assert same_array(cache.gated_adjacency[j], single.group.gated_adjacency[0])
         assert sorted(grads) == sorted(single_grads)
         for name, value in single_grads.items():
             assert same_array(grads[name][j], value), name

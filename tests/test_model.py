@@ -162,19 +162,23 @@ class TestGatedEigenvalue:
             raise AssertionError("scoring computed a PF eigenvalue")
 
         monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", forbidden)
-        logit, cache = forward(prepare_graph(graph, cfg), store, cfg, mode="eval", seed=5)
-        assert cache.lambda_gated is None
+        logit, _ = forward(prepare_graph(graph, cfg), store, cfg, mode="eval", seed=5)
         assert logit == expected
 
     def test_train_forward_keeps_gated_eigenvalue(self):
+        """A train forward keeps the gated adjacency that training estimates
+        the gated eigenvalue from, with the coarse settings."""
         from cfgexec.executor import gate_adjacency
+        from cfgexec.model import gated_eigenvalues, lambda_hats
         from cfgexec.solver import pf_eigenvalue
 
         cfg, graph, bundle, store = tiny_setup(1)
         _, cache = forward(bundle, store, cfg, mode="train", seed=5)
         gated = gate_adjacency(bundle.a_hat, cache.step_cache.a, cfg.gate_axis)
-        assert cache.lambda_gated == pf_eigenvalue(gated, max_iter=80, tol=1e-6)
-        assert 0.0 < cache.lambda_gated <= bundle.lambda_hat + 1e-6
+        assert np.array_equal(cache.group.gated_adjacency, gated[None])
+        [lam] = gated_eigenvalues([gated])
+        assert lam == pf_eigenvalue(gated, max_iter=80, tol=1e-6)
+        assert 0.0 < lam <= lambda_hats([bundle])[0] + 1e-6
 
 
 def test_param_names_are_the_initialized_parameters():
@@ -199,9 +203,7 @@ class TestLambdaHat:
         monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", counting)
         bundle = prepare_graph(graph, cfg)
         assert calls == []
-        first = bundle.lambda_hat
-        assert first == pf_eigenvalue(renormalize(graph.adjacency))
-        assert bundle.lambda_hat == first
+        assert cfgexec.model.lambda_hats([bundle]) == [pf_eigenvalue(renormalize(graph.adjacency))]
         assert calls == [np.float64]
 
 

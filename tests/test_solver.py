@@ -229,6 +229,82 @@ class TestPfEigenvalueMatchesReference:
                     == pf_eigenvalue_reference(m, max_iter=max_iter, tol=0.0))
 
 
+class TestPfEigenvalueStack:
+    """Each matrix of a stack gets the reference loop's bits, whatever else
+    the stack holds and whenever the others stop."""
+
+    @staticmethod
+    def mixed_stack(n, rng):
+        """Sparse and dense nonnegative, signed, all-zero, permutation and
+        diagonal matrices of size n, which stop at different steps."""
+        sparse = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        return np.stack([sparse, rng.random((n, n)), rng.normal(size=(n, n)), np.zeros((n, n)),
+                         np.eye(n)[rng.permutation(n)], np.diag(rng.random(n) * 3.0),
+                         0.5 * sparse])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 15, 40, 96])
+    @pytest.mark.parametrize("kwargs", [{}, {"max_iter": 80, "tol": 1e-6},
+                                        {"max_iter": 17, "tol": 0.0}, {"max_iter": 0}],
+                             ids=["default", "gated", "to-max-iter", "no-steps"])
+    def test_each_matrix_matches_reference(self, n, kwargs):
+        stack = self.mixed_stack(n, np.random.default_rng(n))
+        got = pf_eigenvalue(stack, **kwargs)
+        assert got.shape == (len(stack),)
+        for m, lam in zip(stack, got.tolist()):
+            assert lam == pf_eigenvalue_reference(m, **kwargs)
+
+    def test_matrices_stop_at_different_steps(self):
+        stack = self.mixed_stack(14, np.random.default_rng(14))
+        final = pf_eigenvalue(stack)
+        # each matrix's stop: the fewest steps that give its final value
+        stop = np.full(len(stack), -1)
+        for k in range(1001):
+            stop[(pf_eigenvalue(stack, max_iter=k) == final) & (stop < 0)] = k
+            if (stop >= 0).all():
+                break
+        assert len(set(stop.tolist())) >= 4, stop
+
+    def test_gated_f32_stack(self):
+        rng = np.random.default_rng(11)
+        spec = SyntheticSpec(n_graphs=40, chain_length=8, seed=5)
+        by_size: dict[int, list[np.ndarray]] = {}
+        for g in generate_dataset(spec):
+            a_hat = renormalize(g.adjacency).astype(np.float32)
+            z = rng.random(a_hat.shape[0]).astype(np.float32)
+            axis = ("recv", "send")[len(by_size.get(g.n, [])) % 2]
+            by_size.setdefault(g.n, []).append(gate_adjacency(a_hat, z / z.max(), axis))
+        for mats in by_size.values():
+            stack = np.stack(mats)
+            assert stack.dtype == np.float32
+            got = pf_eigenvalue(stack, max_iter=80, tol=1e-6)
+            for m, lam in zip(mats, got.tolist()):
+                assert lam == pf_eigenvalue_reference(m, max_iter=80, tol=1e-6)
+
+    def test_stack_of_one_is_the_lone_call(self):
+        for n in (1, 5, 14):
+            for m in self.mixed_stack(n, np.random.default_rng(n + 100)):
+                got = pf_eigenvalue(m[None])
+                assert got.shape == (1,)
+                lone = pf_eigenvalue(m)
+                assert isinstance(lone, float) and got[0] == lone
+
+    def test_strided_stack(self):
+        """Transposed and sliced stacks, whose matrices are not C-ordered."""
+        stack = self.mixed_stack(9, np.random.default_rng(9))
+        for view in (stack.transpose(0, 2, 1), stack[::2], stack[:, ::-1, 1:4][:, :3]):
+            got = pf_eigenvalue(view)
+            for m, lam in zip(view, got.tolist()):
+                assert lam == pf_eigenvalue_reference(m)
+        assert pf_eigenvalue(stack[1].T) == pf_eigenvalue_reference(stack[1].T)
+
+    def test_leading_axes_and_empty_matrices(self):
+        stack = self.mixed_stack(5, np.random.default_rng(5))
+        flat = pf_eigenvalue(stack[:6])
+        assert np.array_equal(pf_eigenvalue(stack[:6].reshape(2, 3, 5, 5)), flat.reshape(2, 3))
+        assert np.array_equal(pf_eigenvalue(np.zeros((3, 0, 0))), np.zeros(3))
+        assert pf_eigenvalue(np.zeros((0, 0))) == 0.0
+
+
 def assert_same_solve(got, want):
     assert got.x_star.dtype == want.x_star.dtype
     assert got.x_star.shape == want.x_star.shape

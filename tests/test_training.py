@@ -240,43 +240,127 @@ class TestCheckpoint:
         assert a[2] == b[2]
 
 
+class TestStackedEigenvalues:
+    def test_one_power_iteration_per_size_and_batch(self, monkeypatch):
+        """A training run estimates lambda_hat once per graph size and the
+        gated eigenvalue once per batch and graph size, as stacks."""
+        from collections import Counter
+
+        cfg = small_config(epochs=2, batch_size=8)
+        ds = generate_dataset(SyntheticSpec(n_graphs=24, chain_length=4,
+                                            node_count_range=(9, 12), vocab_size=16, seed=11))
+        train_set, eval_set = ds[:18], ds[18:]
+        calls = []
+        original = cfgexec.model.pf_eigenvalue
+
+        def counting(matrix, *args, **kwargs):
+            calls.append((matrix.shape, kwargs.get("max_iter")))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(cfgexec.model, "pf_eigenvalue", counting)
+        train(train_set, cfg, eval_set, vocab_size=16)
+
+        def stacks(graphs, max_iter):
+            return [((k, n, n), max_iter) for n, k in Counter(g.n for g in graphs).items()]
+
+        want = stacks(train_set, None)
+        for epoch in range(1, cfg.epochs + 1):
+            order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(
+                len(train_set))
+            for lo in range(0, len(order), cfg.batch_size):
+                want += stacks([train_set[i] for i in order[lo : lo + cfg.batch_size]], 80)
+        assert sorted(calls) == sorted(want)
+        assert len(calls) < len(train_set) * (1 + cfg.epochs)
+        assert len({g.n for g in train_set}) > 1
+
+
+class TestLazyLinearization:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_first_read_after_an_optimizer_step(self, mode):
+        """A cache linearizes with the weights its forward ran with, even when
+        it is first read after adam_step has updated them in place."""
+        import dataclasses
+
+        from cfgexec.model import model_backward
+
+        cfg = small_config()
+        bundle = prepare_graph(small_dataset(2)[0], cfg)
+        store = init_model_params(cfg, 16, seed=0)
+        _, want = forward(bundle, store.copy(), cfg, mode=mode, seed=3)
+        want_sc = want.step_cache
+        _, cache = forward(bundle, store, cfg, mode=mode, seed=3)
+        w_before = store.params["W"].copy()
+        _, grads = model_backward(want, store, bundle.label)
+        adam_step(store, grads, cfg, AdamState.init(store), lambda_pf_max=1.0)
+        assert not np.array_equal(store.params["W"], w_before)
+        got_sc = cache.step_cache
+        for f in dataclasses.fields(got_sc):
+            a, b = getattr(got_sc, f.name), getattr(want_sc, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
 class TestEvalEncoderReuse:
-    """Eval noise draws share the first draw's encoder pass."""
+    """Eval noise draws share the first draw's encoder pass, and scoring never
+    linearizes the transition."""
+
+    @staticmethod
+    def eval_setup(cfg):
+        ds = generate_dataset(SyntheticSpec(n_graphs=6, chain_length=8, seed=42))
+        return [prepare_graph(g, cfg) for g in ds], init_model_params(cfg, 16, seed=0)
+
+    @staticmethod
+    def independent_draws(bundles, store, cfg):
+        """(scores, mean loss) of 3 draws per graph, each an independent
+        forward whose linearization is read."""
+        scores, losses = [], []
+        for b in bundles:
+            probs = []
+            for k in range(3):
+                logit, cache = forward(b, store, cfg, mode="eval",
+                                       seed=derive_seed(cfg.seed, "eval", b.graph.id, k))
+                assert np.array_equal(cache.step_cache.x, cache.x_star)
+                probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
+                if k == 0:
+                    losses.append(bce_with_logit(logit, b.label))
+            scores.append(float(np.mean(probs)))
+        return scores, float(np.mean(losses))
+
+    @staticmethod
+    def counted(calls, name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     @pytest.mark.parametrize("cfg", [small_config(), TrainConfig(seed=0, tau=64.0)],
                              ids=["small", "criterion-6"])
     def test_one_encoder_pass_per_graph(self, monkeypatch, cfg):
-        ds = generate_dataset(SyntheticSpec(n_graphs=6, chain_length=8, seed=42))
-        store = init_model_params(cfg, 16, seed=0)
-        bundles = [prepare_graph(g, cfg) for g in ds]
-        # the loop that runs every draw as an independent forward
-        want_scores, want_losses = [], []
-        for b in bundles:
-            probs = []
-            for k in range(3):
-                logit, _ = forward(b, store, cfg, mode="eval",
-                                   seed=derive_seed(cfg.seed, "eval", b.graph.id, k))
-                probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
-                if k == 0:
-                    want_losses.append(bce_with_logit(logit, b.label))
-            want_scores.append(float(np.mean(probs)))
-
+        bundles, store = self.eval_setup(cfg)
+        want_scores, want_loss = self.independent_draws(bundles, store, cfg)
         calls = {"encoder": 0, "forward": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(cfgexec.model, "bigru_forward",
-                            counted("encoder", cfgexec.model.bigru_forward))
+                            self.counted(calls, "encoder", cfgexec.model.bigru_forward))
         monkeypatch.setattr(cfgexec.training, "forward",
-                            counted("forward", cfgexec.training.forward))
+                            self.counted(calls, "forward", cfgexec.training.forward))
         loss, _, scores = evaluate(bundles, store, cfg, noise_seeds=3)
         assert calls == {"encoder": len(bundles), "forward": 3 * len(bundles)}
         assert scores == want_scores
-        assert loss == float(np.mean(want_losses))
+        assert loss == want_loss
+
+    @pytest.mark.parametrize("cfg", [small_config(), TrainConfig(seed=0, tau=64.0)],
+                             ids=["small", "criterion-6"])
+    def test_scoring_never_linearizes(self, monkeypatch, cfg):
+        from cfgexec.executor import JointStep
+
+        bundles, store = self.eval_setup(cfg)
+        want_scores, want_loss = self.independent_draws(bundles, store, cfg)
+        calls = {"linearize": 0}
+        monkeypatch.setattr(JointStep, "forward_cached",
+                            self.counted(calls, "linearize", JointStep.forward_cached))
+        loss, _, scores = evaluate(bundles, store, cfg, noise_seeds=3)
+        assert calls == {"linearize": 0}
+        assert scores == want_scores
+        assert loss == want_loss
 
     def test_reuse_needs_an_eval_cache_of_the_same_bundle(self):
         cfg = small_config()
