@@ -1,16 +1,16 @@
 """Fixed-depth GCN baseline for the receptive-field comparison.
 
-Shares the token encoder, pooling, and prediction head with the equilibrium
-model but replaces the solved transition with a fixed stack of ungated
-message-passing layers trained by ordinary backprop. With k layers a node
-sees exactly its k-hop in-neighborhood, which is the property the synthetic
-long-chain benchmark stresses.
+Shares the token encoder, pooling, prediction head and training loop with
+the equilibrium model but replaces the solved transition with a fixed stack
+of ungated message-passing layers trained by ordinary backprop. With k layers
+a node sees exactly its k-hop in-neighborhood, which is the property the
+synthetic long-chain benchmark stresses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .nn import (
     time_pool,
     time_pool_backward,
 )
+from . import training
 from .training import AdamState, EpochRecord, TrainConfig
 
 
@@ -106,72 +107,59 @@ def gcn_forward_backward(bundle: GraphBundle, store: ParamStore, config: TrainCo
 @dataclass
 class GcnResult:
     store: ParamStore
-    history: list[EpochRecord]
+    history: list[EpochRecord]  # the eval records, one per epoch
     best_accuracy: float
     best_auc: float
     acc_at_best_auc: float
-    report: MetricsReport
+
+
+class _GcnSteps:
+    """The GCN's part of training.run_epochs: one gcn_forward_backward call
+    per graph, each graph's gradients given before the next runs, and Adam."""
+
+    def __init__(self, store: ParamStore, config: TrainConfig, layers: int) -> None:
+        self.store, self.config, self.layers = store, config, layers
+        self.adam = AdamState.init(store)
+
+    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> Iterator[tuple]:
+        return (gcn_forward_backward(b, self.store, self.config, self.layers, "train",
+                                     derive_seed(self.config.seed, "train", epoch, b.graph.id),
+                                     b.label) for b in window)
+
+    def step(self, members: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        training.adam_step(self.store, grads, self.config, self.adam, lambda_pf_max=0.0)
+
+    def eval_pass(self, bundles: Sequence[GraphBundle]) -> tuple[float, MetricsReport, list]:
+        scores, labels, losses = [], [], []
+        for b in bundles:
+            logit, _, _ = gcn_forward_backward(
+                b, self.store, self.config, self.layers, "eval",
+                derive_seed(self.config.seed, "eval", b.graph.id), None)
+            scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
+            labels.append(b.label)
+            losses.append(bce_with_logit(logit, b.label))
+        return float(np.mean(losses)), compute_metrics(np.array(scores), np.array(labels)), scores
 
 
 def train_gcn(dataset: Sequence[CfgGraph], config: TrainConfig,
               eval_dataset: Sequence[CfgGraph], layers: int = 2,
-              vocab_size: int | None = None,
-              early_stop_train_loss: float = 0.02) -> GcnResult:
-    """Train the baseline with ordinary backprop and Adam (no projection)."""
-    from .training import adam_step  # shared optimizer
-
+              vocab_size: int | None = None) -> GcnResult:
+    """Train the baseline with ordinary backprop and Adam (no projection)
+    through training.run_epochs, until an epoch's mean train loss falls below
+    0.02 or config.epochs have run."""
+    vocab_size = training.check_inputs(dataset, eval_dataset, vocab_size)
     train_bundles = [prepare_graph(g, config) for g in dataset]
     eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
-    if vocab_size is None:
-        vocab_size = 1 + max(max((max(seq) if seq else 0) for seq in g.nodes)
-                             for g in list(dataset) + list(eval_dataset))
-    store = init_gcn_params(config, vocab_size, layers, config.seed)
-    adam = AdamState.init(store)
+    steps = _GcnSteps(init_gcn_params(config, vocab_size, layers, config.seed), config, layers)
     history: list[EpochRecord] = []
-    best_acc = 0.0
-    best_auc = 0.0
-    acc_at_best_auc = 0.0
-    report = None
-
-    def eval_fn(bundles):
-        scores, labels, losses = [], [], []
-        for b in bundles:
-            logit, _, _ = gcn_forward_backward(
-                b, store, config, layers, "eval",
-                derive_seed(config.seed, "eval", b.graph.id), None)
-            scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
-            labels.append(b.label)
-            losses.append(bce_with_logit(logit, b.label))
-        return float(np.mean(losses)), compute_metrics(np.array(scores), np.array(labels))
-
-    for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(
-            len(train_bundles))
-        losses = []
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_bundles[i] for i in order[lo : lo + config.batch_size]]
-            summed = None
-            for b in batch:
-                seed = derive_seed(config.seed, "train", epoch, b.graph.id)
-                _, loss, grads = gcn_forward_backward(b, store, config, layers, "train",
-                                                      seed, b.label)
-                losses.append(loss)
-                if summed is None:
-                    summed = {k: v.astype(np.float64) for k, v in grads.items()}
-                else:
-                    for k, v in grads.items():
-                        summed[k] += v
-            mean_grads = {k: v / len(batch) for k, v in summed.items()}
-            adam_step(store, mean_grads, config, adam, lambda_pf_max=0.0)
-        eval_loss, eval_report = eval_fn(eval_bundles)
-        history.append(EpochRecord(epoch, "eval", eval_loss, eval_report))
-        report = eval_report
-        best_acc = max(best_acc, eval_report.accuracy)
-        if eval_report.auc_defined and eval_report.auc > best_auc:
-            best_auc = eval_report.auc
-            acc_at_best_auc = eval_report.accuracy
-        if float(np.mean(losses)) < early_stop_train_loss:
+    best_acc = best_auc = acc_at_best_auc = 0.0
+    for rec_train, rec_eval in training.run_epochs(steps, train_bundles, eval_bundles, config):
+        history.append(rec_eval)
+        report = rec_eval.report
+        best_acc = max(best_acc, report.accuracy)
+        if report.auc_defined and report.auc > best_auc:
+            best_auc, acc_at_best_auc = report.auc, report.accuracy
+        if rec_train.loss < 0.02:
             break
-    return GcnResult(store=store, history=history, best_accuracy=best_acc,
-                     best_auc=best_auc, acc_at_best_auc=acc_at_best_auc, report=report)
-
+    return GcnResult(store=steps.store, history=history, best_accuracy=best_acc,
+                     best_auc=best_auc, acc_at_best_auc=acc_at_best_auc)

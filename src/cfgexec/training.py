@@ -1,5 +1,6 @@
-"""Training loop: Adam with the well-posedness projection after every step,
-per-epoch metrics logging, and bit-exact checkpointing.
+"""Training: the epoch loop that the equilibrium model and the GCN baseline
+both run, Adam with the well-posedness projection after every step, per-epoch
+metrics logging, and bit-exact checkpointing.
 
 Graphs in a batch are processed independently and their gradients averaged,
 summed in batch order; graphs of one shape within a short window of the batch
@@ -14,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -275,7 +276,7 @@ def write_metrics_csv(history: Sequence[EpochRecord], path: str | Path) -> None:
 
 
 def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
-             seed_tag: str = "eval", noise_seeds: int = 1) -> tuple[float, MetricsReport, list[float]]:
+             noise_seeds: int = 1) -> tuple[float, MetricsReport, list[float]]:
     """Eval-mode pass over a split; returns (mean loss, metrics, scores).
 
     noise_seeds > 1 averages scores over that many frozen agent-noise draws
@@ -293,7 +294,7 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
         first = None
         for k in range(noise_seeds):
             logit, cache = forward(b, store, config, mode="eval",
-                                   seed=derive_seed(config.seed, seed_tag, b.graph.id, k),
+                                   seed=derive_seed(config.seed, "eval", b.graph.id, k),
                                    reuse=first)
             probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
             if k == 0:
@@ -315,134 +316,144 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
 GROUP_WINDOW = 6
 
 
-def _train_window(window: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
-                  epoch: int) -> list[tuple[GraphBundle, float, float, dict[str, np.ndarray],
-                                            np.ndarray]]:
-    """Forward and backward of a window's graphs, grouped by ids shape;
-    returns (bundle, logit, loss, grads, gated adjacency) per graph, in
-    window order. A non-finite loss raises as soon as its group returns."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, b in enumerate(window):
-        groups.setdefault(b.ids.shape, []).append(i)
-    out: list = [None] * len(window)
-    # largest group first: while a group runs, only smaller ones' gradients are held
-    for members in sorted(groups.values(), key=len, reverse=True):
-        bundles = [window[i] for i in members]
-        seeds = [derive_seed(config.seed, "train", epoch, b.graph.id) for b in bundles]
-        logits, cache = forward(bundles, store, config, mode="train", seed=seeds)
-        losses, grads = model_backward(cache, store, [b.label for b in bundles])
-        for b, loss in zip(bundles, losses):
-            if not np.isfinite(loss):
-                raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
-        gated = cache.gated_adjacency
-        del cache  # the next group's forward need not share memory with this one
-        for j, i in enumerate(members):
-            out[i] = (window[i], logits[j], losses[j], {k: v[j] for k, v in grads.items()},
-                      gated[j])
-    return out
-
-
-def train(
-    dataset: Sequence[CfgGraph],
-    config: TrainConfig,
-    eval_dataset: Sequence[CfgGraph] | None = None,
-    store: ParamStore | None = None,
-    adam: AdamState | None = None,
-    start_epoch: int = 0,
-    vocab_size: int | None = None,
-    early_stop: Callable[[EpochRecord], bool] | None = None,
-    on_epoch: Callable[[EpochRecord], None] | None = None,
-) -> TrainResult:
-    """Train on labeled graphs; returns final and best-AUC parameters plus history.
-
-    When eval_dataset is None the input is split 75/25 with the config seed.
-    Passing store/adam/start_epoch continues an interrupted run exactly.
-    """
-    from .synth import split as split_dataset  # local import to avoid a cycle
-
+def check_inputs(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
+                 vocab_size: int | None) -> int:
+    """Both models' input checks: a non-empty training set and a label on every
+    graph. Returns vocab_size, or one past the largest token id when it is None."""
     if not dataset:
         raise ValueError("empty-dataset")
-    if eval_dataset is None:
-        dataset, eval_dataset = split_dataset(dataset, 0.75, config.seed)
-    for g in list(dataset) + list(eval_dataset):
+    graphs = [*dataset, *eval_dataset]
+    for g in graphs:
         if g.label is None:
             raise GraphValidationError("label-missing", f"graph {g.id!r} has no label")
-    train_bundles = [prepare_graph(g, config) for g in dataset]
-    eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
     if vocab_size is None:
-        vocab_size = 1 + max(max((max(seq) if seq else 0) for seq in g.nodes)
-                             for g in list(dataset) + list(eval_dataset))
-    if store is None:
-        store = init_model_params(config, vocab_size, config.seed)
-    if adam is None:
-        adam = AdamState.init(store)
-    # every training graph's ungated PF eigenvalue, once per call
-    lambda_hat = lambda_hats(train_bundles)
-    history: list[EpochRecord] = []
-    best_auc = -np.inf
-    best_epoch = -1
-    best_store = store.copy()
-    lambda_pf_max_seen = 0.0
-    max_w_violation = -np.inf
-    last_epoch = start_epoch
+        vocab_size = 1 + max(max((max(seq) if seq else 0) for seq in g.nodes) for g in graphs)
+    return vocab_size
+
+
+def run_epochs(steps, train_bundles: Sequence[GraphBundle], eval_bundles: Sequence[GraphBundle],
+               config: TrainConfig, start_epoch: int = 0) -> Iterator[tuple[EpochRecord, ...]]:
+    """The epoch loop both models train with; yields each epoch's (train, eval)
+    records. `steps.train_window(window, epoch)` gives (logit, loss, grads)
+    per graph in window order, `steps.step(members, grads)` takes one
+    optimizer step per batch on its mean gradients (summed in f64 in batch
+    order), and `steps.eval_pass(bundles)` returns what `evaluate` does."""
     for epoch in range(start_epoch + 1, config.epochs + 1):
-        last_epoch = epoch
         order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(
             len(train_bundles))
-        train_scores: list[float] = []
-        train_labels: list[int] = []
-        train_losses: list[float] = []
+        logits, losses = [], []
         for lo in range(0, len(order), config.batch_size):
             members = order[lo : lo + config.batch_size]
             batch = [train_bundles[i] for i in members]
             summed: dict[str, np.ndarray] | None = None
-            gated: list[np.ndarray] = []  # held to the end of the batch
             for wlo in range(0, len(batch), GROUP_WINDOW):
-                for b, logit, loss, grads, a_gated in _train_window(
-                        batch[wlo : wlo + GROUP_WINDOW], store, config, epoch):
-                    train_losses.append(loss)
-                    train_scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
-                    train_labels.append(b.label)
-                    gated.append(a_gated)
+                for logit, loss, grads in steps.train_window(batch[wlo : wlo + GROUP_WINDOW],
+                                                             epoch):
+                    logits.append(logit)
+                    losses.append(loss)
                     if summed is None:
                         summed = {k: v.astype(np.float64) for k, v in grads.items()}
                     else:
                         for k, v in grads.items():
                             summed[k] += v
                 del grads  # the next window holds none of this one's gradients
-            # the batch max of the gated estimates, in batch order
-            lambda_batch = max([0.0, *gated_eigenvalues(gated)])
-            lambda_pf_max_seen = max(lambda_pf_max_seen, lambda_batch)
-            lambda_ref = adam.update_lambda(lambda_batch)
-            # Agent gates lie in [0, 1], so no gated eigenvalue exceeds the
-            # ungated one (1 for a renormalized adjacency). Projecting against
-            # it bounds ||W||_inf * lambda_gated by kappa on every graph and
-            # agent draw, including the next batch's; the smoothed estimate
-            # lags the draws it summarizes and the per-draw estimates are
-            # coarse, so neither can.
-            lambda_bound = max(lambda_hat[i] for i in members)
-            # the mean gradients are dropped after the step, so the next batch
-            # does not hold them
-            adam_step(store, {k: v / len(batch) for k, v in summed.items()}, config, adam,
-                      max(lambda_ref, lambda_bound))
-            w_inf = float(np.abs(store.params["W"]).sum(axis=1).max())
-            max_w_violation = max(max_w_violation, w_inf - config.kappa / lambda_ref)
-        train_report = compute_metrics(np.array(train_scores), np.array(train_labels))
-        rec_train = EpochRecord(epoch, "train", float(np.mean(train_losses)), train_report)
-        history.append(rec_train)
-        eval_loss, eval_report, _ = evaluate(eval_bundles, store, config,
-                                             noise_seeds=config.eval_noise_seeds)
-        rec_eval = EpochRecord(epoch, "eval", eval_loss, eval_report)
-        history.append(rec_eval)
-        if on_epoch is not None:
-            on_epoch(rec_eval)
-        if eval_report.auc_defined and eval_report.auc > best_auc:
-            best_auc = eval_report.auc
-            best_epoch = epoch
-            best_store = store.copy()
+            # the mean gradients die with the step, so the next batch does not hold them
+            steps.step(members, {k: v / len(batch) for k, v in summed.items()})
+        # one sigmoid over the epoch gives each graph's lone bits: the ops are elementwise
+        scores = sigmoid(np.asarray(logits, dtype=np.float64))
+        report = compute_metrics(scores, np.array([train_bundles[i].label for i in order]))
+        rec_train = EpochRecord(epoch, "train", float(np.mean(losses)), report)
+        yield rec_train, EpochRecord(epoch, "eval", *steps.eval_pass(eval_bundles)[:2])
+
+
+class _EquilibriumSteps:
+    """The equilibrium model's part of run_epochs: stacked groups per window,
+    and Adam with the well-posedness projection per batch."""
+
+    def __init__(self, train_bundles: Sequence[GraphBundle], store: ParamStore,
+                 config: TrainConfig, adam: AdamState) -> None:
+        self.store, self.config, self.adam = store, config, adam
+        # every training graph's ungated PF eigenvalue, once per call
+        self.lambda_hat = lambda_hats(train_bundles)
+        self.gated: list[np.ndarray] = []  # the batch's gated adjacencies, held to its end
+        self.lambda_pf_max = 0.0
+        self.max_w_violation = -np.inf  # max over steps of ||W||_inf - kappa/lambda_ref
+
+    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> list[tuple]:
+        """Forward and backward of a window's graphs, grouped by ids shape, in
+        window order. A non-finite loss raises as soon as its group returns."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, b in enumerate(window):
+            groups.setdefault(b.ids.shape, []).append(i)
+        out: list = [None] * len(window)
+        # largest group first: while a group runs, only smaller ones' gradients are held
+        for members in sorted(groups.values(), key=len, reverse=True):
+            bundles = [window[i] for i in members]
+            seeds = [derive_seed(self.config.seed, "train", epoch, b.graph.id) for b in bundles]
+            logits, cache = forward(bundles, self.store, self.config, mode="train", seed=seeds)
+            losses, grads = model_backward(cache, self.store, [b.label for b in bundles])
+            for b, loss in zip(bundles, losses):
+                if not np.isfinite(loss):
+                    raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
+            self.gated.extend(cache.gated_adjacency)
+            del cache  # the next group's forward need not share memory with this one
+            for j, i in enumerate(members):
+                out[i] = (logits[j], losses[j], {k: v[j] for k, v in grads.items()})
+        return out
+
+    def step(self, members: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
+        # the batch max of the gated estimates, which does not depend on their order
+        lambda_batch = max([0.0, *gated_eigenvalues(self.gated)])
+        self.gated = []
+        self.lambda_pf_max = max(self.lambda_pf_max, lambda_batch)
+        lambda_ref = self.adam.update_lambda(lambda_batch)
+        # Agent gates lie in [0, 1], so no gated eigenvalue exceeds the
+        # ungated one (1 for a renormalized adjacency). Projecting against
+        # it bounds ||W||_inf * lambda_gated by kappa on every graph and
+        # agent draw, including the next batch's; the smoothed estimate
+        # lags the draws it summarizes and the per-draw estimates are
+        # coarse, so neither can.
+        lambda_bound = max(self.lambda_hat[i] for i in members)
+        adam_step(self.store, grads, self.config, self.adam, max(lambda_ref, lambda_bound))
+        w_inf = float(np.abs(self.store.params["W"]).sum(axis=1).max())
+        self.max_w_violation = max(self.max_w_violation, w_inf - self.config.kappa / lambda_ref)
+
+    def eval_pass(self, bundles: Sequence[GraphBundle]) -> tuple[float, MetricsReport, list]:
+        return evaluate(bundles, self.store, self.config, noise_seeds=self.config.eval_noise_seeds)
+
+
+def train(
+    dataset: Sequence[CfgGraph],
+    config: TrainConfig,
+    eval_dataset: Sequence[CfgGraph],
+    store: ParamStore | None = None,
+    adam: AdamState | None = None,
+    start_epoch: int = 0,
+    vocab_size: int | None = None,
+    early_stop: Callable[[EpochRecord], bool] | None = None,
+) -> TrainResult:
+    """Train on labeled graphs; returns final and best-AUC parameters plus history.
+
+    Passing store/adam/start_epoch continues an interrupted run exactly.
+    """
+    vocab_size = check_inputs(dataset, eval_dataset, vocab_size)
+    train_bundles = [prepare_graph(g, config) for g in dataset]
+    eval_bundles = [prepare_graph(g, config) for g in eval_dataset]
+    if store is None:
+        store = init_model_params(config, vocab_size, config.seed)
+    steps = _EquilibriumSteps(train_bundles, store, config,
+                              AdamState.init(store) if adam is None else adam)
+    history: list[EpochRecord] = []
+    best_auc, best_epoch, best_store = -np.inf, -1, store.copy()
+    for rec_train, rec_eval in run_epochs(steps, train_bundles, eval_bundles, config,
+                                          start_epoch):
+        history += [rec_train, rec_eval]
+        if rec_eval.report.auc_defined and rec_eval.report.auc > best_auc:
+            best_auc, best_epoch, best_store = rec_eval.report.auc, rec_eval.epoch, store.copy()
         if early_stop is not None and early_stop(rec_eval):
             break
     return TrainResult(store=store, best_store=best_store, best_auc=float(best_auc),
                        best_epoch=best_epoch, history=history,
-                       lambda_pf_max=lambda_pf_max_seen, adam=adam, last_epoch=last_epoch,
-                       max_w_violation=float(max_w_violation))
+                       lambda_pf_max=steps.lambda_pf_max, adam=steps.adam,
+                       last_epoch=history[-1].epoch if history else start_epoch,
+                       max_w_violation=float(steps.max_w_violation))

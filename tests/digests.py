@@ -21,12 +21,16 @@ What it hashes:
   CSV rows, lambda_ref and lambda_pf_max;
 - eval-mode logits, fixed points and solver logs of 100 deep graphs (80-96
   one-token blocks) at initial parameters, for the soft and the hard agent;
-- a 2-epoch `train_gcn` run: its eval-loss history and final parameters.
+- a 2-epoch `train_gcn` run: its eval-loss history, final parameters, best
+  accuracy, best AUC and accuracy at the best AUC;
+- a small f64 `train_gcn` run whose 0.02 train-loss stop fires at epoch 109
+  of 300: its eval history (losses and metrics) and final parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import astuple
 
 import numpy as np
 
@@ -129,11 +133,27 @@ def gcn_history() -> dict[str, str]:
     cfg = TrainConfig(epochs=2, seed=0, tau=64.0)
     result = train_gcn(train_set, cfg, eval_set, layers=2, vocab_size=spec.vocab_size)
     return {"gcn eval losses": digest(np.array([r.loss for r in result.history])),
-            "gcn params": params_digest(result.store)}
+            "gcn params": params_digest(result.store),
+            "gcn best metrics": digest(np.array([result.best_accuracy, result.best_auc,
+                                                 result.acc_at_best_auc]))}
+
+
+def gcn_early_stop() -> dict[str, str]:
+    ds = generate_dataset(SyntheticSpec(n_graphs=16, chain_length=1, node_count_range=(5, 7),
+                                        vocab_size=16, seed=4))
+    train_set, eval_set = split(ds, 0.75, 4)
+    cfg = TrainConfig(h=8, epochs=300, batch_size=4, seed=0, dropout=0.0, v_max=8, lr=0.05,
+                      precision="f64")
+    result = train_gcn(train_set, cfg, eval_set, layers=2)
+    return {"gcn early-stop history": digest(*[
+                np.array([r.epoch, r.loss, *astuple(r.report)], dtype=np.float64)
+                for r in result.history]),
+            "gcn early-stop params": params_digest(result.store)}
 
 
 def main() -> None:
-    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, gcn_history):
+    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, gcn_history,
+                 gcn_early_stop):
         for what, value in part().items():
             print(value, what, flush=True)
 

@@ -1,15 +1,19 @@
 """Fixed-depth GCN baseline: gradients, receptive field, and training."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from cfgexec.baseline import gcn_forward_backward, init_gcn_params, train_gcn
-from cfgexec.graphs import make_graph
+from cfgexec.graphs import GraphValidationError, make_graph
 from cfgexec.model import prepare_graph
 from cfgexec.nn import finite_diff_check
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
 from cfgexec.training import TrainConfig
+
+from oracles import train_gcn_reference
 
 
 def cfg64(**kw):
@@ -92,3 +96,60 @@ class TestGcnTraining:
         result = train_gcn(tr, cfg, ev, layers=2, vocab_size=16)
         assert result.best_auc >= 0.85
         assert result.best_accuracy >= 0.75
+
+    def test_unlabeled_graph_rejected(self):
+        ds = generate_dataset(SyntheticSpec(n_graphs=8, chain_length=1, node_count_range=(5, 6),
+                                            vocab_size=16, seed=4))
+        cfg = cfg64(epochs=1)
+        for unlabeled in (ds[0], ds[7]):  # one train graph, one eval graph
+            label = unlabeled.label
+            object.__setattr__(unlabeled, "label", None)
+            with pytest.raises(GraphValidationError, match="label-missing"):
+                train_gcn(ds[:6], cfg, ds[6:], vocab_size=16)
+            object.__setattr__(unlabeled, "label", label)
+
+    def test_empty_dataset_rejected(self):
+        ds = generate_dataset(SyntheticSpec(n_graphs=2, chain_length=1, node_count_range=(5, 6),
+                                            vocab_size=16, seed=4))
+        # no vocab size is given: with no graphs at all, its inference would fail first
+        for eval_set in (ds, []):
+            with pytest.raises(ValueError, match="empty-dataset"):
+                train_gcn([], cfg64(epochs=1), eval_set)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _record_bits(rec) -> tuple:
+    return (rec.epoch, rec.split, _bits(rec.loss),
+            _bits(np.array(astuple(rec.report), dtype=np.float64)))
+
+
+class TestGcnMatchesReference:
+    """train_gcn through the shared epoch loop against the standalone loop in
+    tests/oracles.py, compared by bytes."""
+
+    @pytest.mark.parametrize("precision,dropout,epochs,stops", [
+        ("f64", 0.0, 3, False),
+        ("f32", 0.2, 3, False),
+        ("f64", 0.0, 300, True),  # the 0.02 train-loss stop fires at epoch 109
+    ])
+    def test_same_bits(self, precision, dropout, epochs, stops):
+        ds = generate_dataset(SyntheticSpec(n_graphs=16, chain_length=1, node_count_range=(5, 7),
+                                            vocab_size=16, seed=4))
+        tr, ev = split(ds, 0.75, 4)
+        cfg = TrainConfig(h=8, epochs=epochs, batch_size=4, seed=0, dropout=dropout, v_max=8,
+                          lr=0.05, precision=precision)
+        result = train_gcn(tr, cfg, ev, layers=2)
+        store, history, best_acc, best_auc, acc_at_best_auc = train_gcn_reference(
+            tr, cfg, ev, layers=2)
+        assert (len(history) < epochs) == stops
+        assert [_record_bits(r) for r in result.history] == [_record_bits(r) for r in history]
+        assert [_bits(v) for v in (result.best_accuracy, result.best_auc,
+                                   result.acc_at_best_auc)] == [
+            _bits(v) for v in (best_acc, best_auc, acc_at_best_auc)]
+        assert sorted(result.store.params) == sorted(store.params)
+        for k, v in store.params.items():
+            assert result.store.params[k].dtype == v.dtype
+            assert _bits(result.store.params[k]) == _bits(v), k

@@ -126,7 +126,7 @@ class TestAdam:
 class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty-dataset"):
-            train([], small_config())
+            train([], small_config(), [])
 
     def test_missing_label_rejected(self):
         ds = small_dataset(8)
