@@ -1,4 +1,4 @@
-"""Binary classification metrics: confusion counts at a threshold plus AUC.
+"""Binary classification metrics: confusion counts at a 0.5 threshold plus AUC.
 
 AUC is computed by the rank statistic (Mann-Whitney concordance with the
 standard half-credit for ties), which equals trapezoidal integration of the
@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+DECISION_THRESHOLD = 0.5
 
 
 class MetricsError(ValueError):
@@ -56,9 +59,8 @@ def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def compute_metrics(scores: np.ndarray, labels: np.ndarray,
-                    threshold: float = 0.5) -> MetricsReport:
-    """Threshold metrics plus AUC for binary labels.
+def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
+    """Metrics at score >= DECISION_THRESHOLD plus AUC for binary labels.
 
     When only one class is present, AUC is undefined: it is reported as NaN
     with auc_defined=False rather than silently repaired.
@@ -71,7 +73,7 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray,
         raise MetricsError("empty-dataset", "no scores to evaluate")
     if not np.isin(labels, (0, 1)).all():
         raise MetricsError("label-domain", "labels must be 0 or 1")
-    pred = scores >= threshold
+    pred = scores >= DECISION_THRESHOLD
     actual = labels == 1
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))

@@ -193,12 +193,15 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# GRU (reset-before-candidate), one direction, vectorized across nodes
+# GRU (reset-before-candidate), vectorized across nodes
 #
 # Inputs are (..., n, v, h): axes before n stack graphs of one shape on a
 # group axis. Every product is a stacked matmul over (n, h) items, so BLAS
 # sees each graph's own operands and a stacked call gives each graph the bits
-# of a call on that graph alone.
+# of a call on that graph alone. A step runs its directions stacked on a
+# leading axis, and the reset and update gates stacked on one more, so each
+# operand takes one product for both gates and each item is still one
+# gate's (n, h) @ (h, h) product of one graph and direction.
 
 
 @dataclass
@@ -211,7 +214,7 @@ class GruStepCache:
     mask: np.ndarray
 
 
-# parameter name suffixes in the argument order of _gru_step
+# parameter name suffixes, in the order gru_direction_backward unpacks them
 _GRU_KEYS = ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wc", "Uc", "bc")
 
 
@@ -220,13 +223,32 @@ def _gru_names(prefix: str) -> tuple[str, ...]:
     return tuple(f"{prefix}_{k}" for k in _GRU_KEYS)
 
 
-def _gru_step(x: np.ndarray, h_prev: np.ndarray, wr: np.ndarray, ur: np.ndarray,
-              br: np.ndarray, wu: np.ndarray, uu: np.ndarray, bu: np.ndarray,
-              wc: np.ndarray, uc: np.ndarray,
-              bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    r = sigmoid(x @ wr + h_prev @ ur + br)
-    u = sigmoid(x @ wu + h_prev @ uu + bu)
-    c = np.tanh(x @ wc + (r * h_prev) @ uc + bc)
+def _gru_weights(p: Mapping[str, np.ndarray], prefixes: tuple[str, ...],
+                 group_axes: int) -> tuple[np.ndarray, ...]:
+    """The weights in the argument order of _gru_step for the directions in
+    `prefixes`, stacked on a direction axis and broadcast over `group_axes`
+    group axes: [W_r, W_u], [U_r, U_u] and [b_r, b_u] stacked on a gate axis
+    before it, then W_c, U_c and b_c."""
+    names = [_gru_names(prefix) for prefix in prefixes]
+
+    def stacked(i: int) -> np.ndarray:
+        w = np.stack([p[ns[i]] for ns in names])
+        return w.reshape(len(prefixes), *(1,) * (group_axes + 3 - w.ndim), *w.shape[1:])
+
+    wr, ur, br, wu, uu, bu, wc, uc, bc = map(stacked, range(len(_GRU_KEYS)))
+    return np.stack((wr, wu)), np.stack((ur, uu)), np.stack((br, bu)), wc, uc, bc
+
+
+def _gru_step(x: np.ndarray, h_prev: np.ndarray, w_ru: np.ndarray, u_ru: np.ndarray,
+              b_ru: np.ndarray, w_c: np.ndarray, u_c: np.ndarray,
+              b_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of (direction, ..., n, h) inputs and states; returns
+    (h_new, r, u, c), with r and u views into one array of both gates."""
+    pre = x @ w_ru
+    pre += h_prev @ u_ru
+    pre += b_ru
+    r, u = sigmoid(pre)
+    c = np.tanh(x @ w_c + (r * h_prev) @ u_c + b_c)
     h = (1.0 - u) * h_prev + u * c
     return h, r, u, c
 
@@ -234,27 +256,8 @@ def _gru_step(x: np.ndarray, h_prev: np.ndarray, wr: np.ndarray, ur: np.ndarray,
 def gru_cell(x: np.ndarray, h_prev: np.ndarray, p: Mapping[str, np.ndarray],
              prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One GRU step: returns (h_new, r, u, c); the gate values feed the backward."""
-    return _gru_step(x, h_prev, *(p[name] for name in _gru_names(prefix)))
-
-
-def _gru_direction(x: np.ndarray, mask: np.ndarray, p: Mapping[str, np.ndarray],
-                   prefix: str, reverse: bool, out: np.ndarray) -> list[GruStepCache]:
-    """Runs one direction, writing every position's state into `out`."""
-    *lead, n, v, _ = x.shape
-    weights = [p[name] for name in _gru_names(prefix)]
-    h = np.zeros((*lead, n, weights[1].shape[0]), dtype=x.dtype)
-    masks = mask.astype(x.dtype)
-    caches: list[GruStepCache] = []
-    steps = range(v - 1, -1, -1) if reverse else range(v)
-    for t in steps:
-        m = masks[..., t, None]
-        xt = x[..., t, :]
-        h_new, r, u, c = _gru_step(xt, h, *weights)
-        caches.append(GruStepCache(xt, h, r, u, c, m))
-        kept = m * h_new
-        out[..., t, :] = kept
-        h = kept + (1.0 - m) * h
-    return caches
+    weights = _gru_weights(p, (prefix,), x.ndim - 2)
+    return tuple(a[0] for a in _gru_step(x[None], h_prev[None], *weights))
 
 
 def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
@@ -321,16 +324,35 @@ def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
     Masked positions pass the hidden state through unchanged, so the reversed
     pass walks exactly the real token prefix of each block. Output positions
     under the mask are zero.
+
+    Both directions advance in one loop of v steps, stacked on a leading axis
+    of two: at step s the forward direction reads token s and the backward
+    one token v-1-s. Each direction's step caches are views into the stacked
+    arrays.
     """
     if mask.sum(axis=-1).min() == 0:
         raise NumericError("all-pad-node: a block has no real token positions")
-    h = params["gruf_Ur"].shape[0]
-    concat = np.empty((*x.shape[:-1], 2 * h), dtype=x.dtype)
-    cache_f = _gru_direction(x, mask, params, "gruf", False, concat[..., :h])
-    cache_b = _gru_direction(x, mask, params, "grub", True, concat[..., h:])
+    *lead, n, v, _ = x.shape
+    xs = np.stack((x, x[..., ::-1, :]))
+    masks = mask.astype(x.dtype)[..., None]
+    ms = np.stack((masks, masks[..., ::-1, :]))
+    carry = 1.0 - ms
+    weights = _gru_weights(params, ("gruf", "grub"), len(lead))
+    hdim = params["gruf_Ur"].shape[0]
+    out = np.empty((2, *lead, n, v, hdim), dtype=x.dtype)
+    h = np.zeros((2, *lead, n, hdim), dtype=x.dtype)
+    steps = []
+    for s in range(v):
+        h_new, r, u, c = _gru_step(xs[..., s, :], h, *weights)
+        steps.append((h, r, u, c))
+        kept = np.multiply(ms[..., s, :], h_new, out=out[..., s, :])
+        h = kept + carry[..., s, :] * h
+    caches = [[GruStepCache(xs[d, ..., s, :], h_prev[d], r[d], u[d], c[d], ms[d, ..., s, :])
+               for s, (h_prev, r, u, c) in enumerate(steps)] for d in (0, 1)]
+    concat = np.concatenate((out[0], out[1, ..., ::-1, :]), axis=-1)
     mixed = concat @ params["mix_W"] + params["mix_b"]
     mixed = mixed * mask[..., None].astype(x.dtype)
-    return mixed, BiGruCache(cache_f, cache_b, concat, mask)
+    return mixed, BiGruCache(caches[0], caches[1], concat, mask)
 
 
 def bigru_backward(d_out: np.ndarray, cache: BiGruCache,

@@ -146,14 +146,18 @@ def anderson(
     problem. A problem that diverges raises `DivergenceError` for the stack,
     with the message it raises alone. A single solve is the stack of one.
 
-    The window lives in preallocated row buffers, oldest first, shifted when
-    full. BLAS sums the small products below in an order that depends on
-    operand layout, so the layouts are fixed: the difference matrix D is a
-    C-contiguous (N, k-1) f64 array, the newest residual enters D^T g as a
-    strided vector, and the combination multiplies a C-contiguous (N, k)
-    array of f(x)'s dtype. Each product is a stacked matmul or `np.vecdot`
-    over per-problem operands, so BLAS sees the same operands as for one
-    problem alone. Norms are sqrt(v . v) in the iterate's dtype, as
+    The window holds each problem's residuals as rows of an f64 (m, N)
+    buffer and its f(x) values as columns of an (N, k) array of f(x)'s dtype,
+    oldest first; the columns grow while k < m. Once full, each window moves
+    one slot toward its start by one flat 1-D slice assignment, which numpy
+    makes without a temporary; an element that crosses into the next row or
+    problem lands in the slot written next. BLAS sums the small products
+    below in an order that depends on operand layout, so the layouts are
+    fixed: the difference matrix D = g_new - g_i is a C-contiguous (N, k-1)
+    f64 array, the newest residual enters D^T g as a strided vector, and the
+    combination multiplies the C-contiguous (N, k) columns. Each product is
+    a stacked matmul or `np.vecdot` over per-problem operands, so BLAS sees
+    the same operands as for one problem alone. Norms are sqrt(v . v) in the iterate's dtype, as
     np.linalg.norm computes them; a lone problem takes them as 1-D dots,
     which cost less per call than stacked ones.
     """
@@ -171,7 +175,7 @@ def anderson(
     items = tuple(range(size))  # stack positions of the problems still running
     stack_shape = (size, *shape)
     g_rows = np.empty((size, m, n))  # windows of residuals f(x_i) - x_i, solved in f64
-    fx_rows: np.ndarray | None = None  # windows of f(x_i), aligned with g_rows
+    fx_cols: np.ndarray | None = None  # windows of f(x_i) as columns, aligned with g_rows
     x_out: np.ndarray | None = None  # each problem's final iterate
     g_last = np.empty((size, n, 2))[..., :1]  # the newest residuals, as strided vectors
     k = 0
@@ -188,17 +192,19 @@ def anderson(
 
     for it in range(1, cfg.max_iter + 1):
         fx = f(x.reshape(stack_shape), items).reshape(x.shape)
-        if fx_rows is None:
-            fx_rows = np.empty((size, m, n), dtype=fx.dtype)
+        if x_out is None:
             x_out = np.empty((size, n), dtype=fx.dtype)
         g = fx - x
         if k == m:
-            g_rows[:, :-1] = g_rows[:, 1:]
-            fx_rows[:, :-1] = fx_rows[:, 1:]
+            g_flat, fx_flat = g_rows.reshape(-1), fx_cols.reshape(-1)
+            g_flat[:-n] = g_flat[n:]
+            fx_flat[:-1] = fx_flat[1:]
+            fx_cols[..., -1] = fx
         else:
             k += 1
+            fx_cols = (fx[..., None].copy() if fx_cols is None
+                       else np.concatenate((fx_cols, fx[..., None]), axis=-1))
         g_rows[:, k - 1] = g
-        fx_rows[:, k - 1] = fx
         # residuals are compared as Python floats, as one problem's would be
         if len(items) == 1:
             gap = float(np.sqrt(g[0].dot(g[0])))
@@ -236,7 +242,7 @@ def anderson(
                 break
             items = tuple(items[j] for j in keep)
             stack_shape = (len(keep), *shape)
-            fx, g_rows, fx_rows = fx[keep], g_rows[keep], fx_rows[keep]
+            fx, g_rows, fx_cols = fx[keep], g_rows[keep], fx_cols[keep]
             g_last = np.empty((len(keep), n, 2))[..., :1]
         if k == 1:
             x = fx.copy()
@@ -244,13 +250,13 @@ def anderson(
         g_last[..., 0] = g_rows[:, k - 1]
         d = np.empty((len(items), n, k - 1))
         d_t = d.transpose(0, 2, 1)
-        np.subtract(g_rows[:, : k - 1], g_rows[:, k - 1 : k], out=d_t)
+        np.subtract(g_rows[:, k - 1 : k], g_rows[:, : k - 1], out=d_t)
         gram = d_t @ d
         # the ridge goes onto each matrix's diagonal, a strided view; the
         # trace is the view's sum, in the diagonal's order
         diag = gram.reshape(len(items), -1)[:, ::k]
         diag += cfg.ridge * (diag.sum(axis=1, keepdims=True) / (k - 1))
-        rhs = -(d_t @ g_last)
+        rhs = d_t @ g_last
         try:
             beta = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # some problem's matrix is singular: solve each
@@ -269,7 +275,7 @@ def anderson(
         alpha = np.empty((len(items), k, 1), dtype=fx.dtype)
         alpha[:, :-1] = beta
         alpha[:, -1] = 1.0 - sums
-        x = (fx_rows[:, :k].transpose(0, 2, 1).copy() @ alpha)[..., 0]
+        x = (fx_cols @ alpha)[..., 0]
         for j in failed:
             fallbacks[items[j]].append(it)
             x[j] = fx[j]

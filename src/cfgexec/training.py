@@ -39,6 +39,8 @@ from .nn import NumericError, ParamStore, sigmoid
 from .solver import SolverConfig, project_wellposed
 
 CHECKPOINT_FORMAT_VERSION = 1
+# weight of the running lambda_ref against each new batch max
+LAMBDA_DECAY = 0.9
 
 
 class CheckpointError(ValueError):
@@ -85,13 +87,14 @@ class AdamState:
             v={k: np.zeros_like(p) for k, p in store.params.items()},
         )
 
-    def update_lambda(self, lambda_batch: float, decay: float = 0.9) -> float:
+    def update_lambda(self, lambda_batch: float) -> float:
         """Smooth the per-batch max so one sharp agent draw cannot dominate the
         reported eigenvalue or, through it, the projection radius."""
         if self.lambda_ref <= 0.0:
             self.lambda_ref = lambda_batch
         else:
-            self.lambda_ref = decay * self.lambda_ref + (1.0 - decay) * lambda_batch
+            # the new value weighs 1.0 - 0.9 as computed, which is not the double 0.1
+            self.lambda_ref = LAMBDA_DECAY * self.lambda_ref + (1.0 - LAMBDA_DECAY) * lambda_batch
         return self.lambda_ref
 
 

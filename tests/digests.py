@@ -6,7 +6,7 @@ Run it on two checkouts (say, a change and its parent) at the same BLAS
 thread count and compare the printed lines; each is `<digest> <what>`. The
 script imports only `cfgexec`, so it also runs against an older tree:
 `PYTHONPATH=<other checkout>/src python3 tests/digests.py`. It is not a
-pytest module (pytest collects `test_*.py` only) and takes about a minute on
+pytest module (pytest collects `test_*.py` only) and takes about 12 s on
 two CPUs.
 
 What it hashes:
@@ -21,6 +21,9 @@ What it hashes:
   CSV rows, lambda_ref and lambda_pf_max;
 - eval-mode logits, fixed points and solver logs of 100 deep graphs (80-96
   one-token blocks) at initial parameters, for the soft and the hard agent;
+- long blocks (19-32 token positions, 9-27 blocks per graph): eval-mode
+  logits and fixed points at initial parameters, and a 1-epoch training
+  run's parameters and CSV rows;
 - a 2-epoch `train_gcn` run: its eval-loss history, final parameters, best
   accuracy, best AUC and accuracy at the best AUC;
 - a small f64 `train_gcn` run whose 0.02 train-loss stop fires at epoch 109
@@ -127,6 +130,24 @@ def deep_graphs() -> dict[str, str]:
     return out
 
 
+def long_blocks() -> dict[str, str]:
+    spec = SyntheticSpec(n_graphs=120, chain_length=4, node_count_range=(9, 27),
+                         tokens_per_block=30, seed=13)
+    train_set, eval_set = split(generate_dataset(spec), 0.75, 13)
+    cfg = TrainConfig(epochs=1, seed=0, tau=64.0)
+    store = init_model_params(cfg, spec.vocab_size, cfg.seed)
+    logits, x_stars = [], []
+    for i, g in enumerate(eval_set):
+        logit, cache = forward(prepare_graph(g, cfg), store, cfg, mode="eval", seed=i)
+        logits.append(logit)
+        x_stars.append(cache.x_star)
+    result = train(train_set, cfg, eval_set, vocab_size=spec.vocab_size)
+    return {"long-block logits": digest(np.array(logits)),
+            "long-block x_star": digest(*x_stars),
+            "long-block params": params_digest(result.store),
+            "long-block metrics csv": digest(*metrics_csv_rows(result.history))}
+
+
 def gcn_history() -> dict[str, str]:
     spec = SyntheticSpec(n_graphs=200, chain_length=8, seed=3)
     train_set, eval_set = split(generate_dataset(spec), 0.75, 3)
@@ -152,8 +173,8 @@ def gcn_early_stop() -> dict[str, str]:
 
 
 def main() -> None:
-    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, gcn_history,
-                 gcn_early_stop):
+    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
+                 gcn_history, gcn_early_stop):
         for what, value in part().items():
             print(value, what, flush=True)
 

@@ -18,6 +18,8 @@ from cfgexec.executor import JointStep
 from cfgexec.metrics import compute_metrics
 from cfgexec.model import bce_grad, bce_with_logit, derive_seed, prepare_graph
 from cfgexec.nn import (
+    BiGruCache,
+    GruStepCache,
     bigru_backward,
     bigru_forward,
     embed,
@@ -173,6 +175,39 @@ def scalar_gru_cell(x, h_prev, wr, ur, br, wu, uu, bu, wc, uc, bc):
     u = 1.0 / (1.0 + math.exp(-(x * wu + h_prev * uu + bu)))
     c = math.tanh(x * wc + r * h_prev * uc + bc)
     return (1.0 - u) * h_prev + u * c
+
+
+def bigru_forward_reference(x: np.ndarray, params, mask: np.ndarray):
+    """Bidirectional GRU run one direction after the other, each gate with its
+    own two products, writing each state into its half of the concatenated
+    output. The library advances both directions in one loop, stacked with
+    the reset and update gates, and must give the same output and caches."""
+    *lead, n, v, _ = x.shape
+    h = params["gruf_Ur"].shape[0]
+    masks = mask.astype(x.dtype)
+    concat = np.empty((*x.shape[:-1], 2 * h), dtype=x.dtype)
+    caches = []
+    for prefix, half, steps in (("gruf", slice(None, h), range(v)),
+                                ("grub", slice(h, None), range(v - 1, -1, -1))):
+        wr, ur, br, wu, uu, bu, wc, uc, bc = (
+            params[f"{prefix}_{k}"] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wc", "Uc", "bc"))
+        state = np.zeros((*lead, n, h), dtype=x.dtype)
+        direction = []
+        for t in steps:
+            m = masks[..., t, None]
+            xt = x[..., t, :]
+            r = sigmoid(xt @ wr + state @ ur + br)
+            u = sigmoid(xt @ wu + state @ uu + bu)
+            c = np.tanh(xt @ wc + (r * state) @ uc + bc)
+            h_new = (1.0 - u) * state + u * c
+            direction.append(GruStepCache(xt, state, r, u, c, m))
+            kept = m * h_new
+            concat[..., t, half] = kept
+            state = kept + (1.0 - m) * state
+        caches.append(direction)
+    mixed = concat @ params["mix_W"] + params["mix_b"]
+    mixed = mixed * mask[..., None].astype(x.dtype)
+    return mixed, BiGruCache(caches[0], caches[1], concat, mask)
 
 
 def interpret_cfg(lines: list[tuple[str, str]], labels: dict[str, int]):

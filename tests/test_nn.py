@@ -24,7 +24,7 @@ from cfgexec.nn import (
     time_pool_backward,
 )
 
-from oracles import scalar_gru_cell, sigmoid_reference
+from oracles import bigru_forward_reference, scalar_gru_cell, sigmoid_reference
 
 
 def gru_params(rng, h, prefix):
@@ -251,6 +251,51 @@ class TestGru:
         hb, *_ = gru_cell(x[:, 0, :], np.zeros((2, 2)), p, "grub")
         expected = np.concatenate([hf, hb], axis=1) @ p["mix_W"] + p["mix_b"]
         np.testing.assert_allclose(out[:, 0, :], expected, atol=1e-12)
+
+
+class TestBiGruMatchesReference:
+    """The stacked two-direction loop gives the bits of the loop that runs one
+    direction after the other with separate gate products: the output, every
+    step cache, and the backward's input gradient and parameter gradients."""
+
+    # (group axes, n, v, h): groups of one are 2-D per graph; n = 1 makes
+    # every product a matrix-vector one. Gate weights concatenated column-wise
+    # instead of stacked change bits at n = 1, h = 3 (f64) and h = 40 (f32).
+    SHAPES = [((), 1, 5, 3), ((1,), 7, 32, 3), ((2,), 1, 1, 1), ((3,), 12, 5, 1),
+              ((4,), 2, 32, 1), ((), 33, 1, 64), ((2,), 5, 32, 64), ((), 88, 5, 64),
+              ((1,), 96, 32, 64), ((4,), 80, 5, 64), ((3,), 14, 1, 3), ((), 96, 5, 3),
+              ((2,), 9, 5, 40)]
+
+    @staticmethod
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead,n,v,h", SHAPES)
+    def test_bits(self, dtype, lead, n, v, h):
+        rng = np.random.default_rng(n * 100 + v + h)
+        p = {k: a.astype(dtype) for k, a in encoder_params(rng, h).items()}
+        x = rng.normal(size=(*lead, n, v, h)).astype(dtype)
+        lengths = rng.integers(1, v + 1, size=(*lead, n))
+        mask = np.arange(v) < lengths[..., None]  # padded tails of random length
+        got, got_cache = bigru_forward(x, p, mask)
+        want, want_cache = bigru_forward_reference(x, p, mask)
+        self.same(got, want)
+        self.same(got_cache.concat, want_cache.concat)
+        for got_steps, want_steps in ((got_cache.fwd, want_cache.fwd),
+                                      (got_cache.bwd, want_cache.bwd)):
+            assert len(got_steps) == len(want_steps) == v
+            for g, w in zip(got_steps, want_steps):
+                for name in ("x", "h_prev", "r", "u", "c", "mask"):
+                    self.same(getattr(g, name), getattr(w, name))
+        d_out = rng.normal(size=got.shape).astype(dtype)
+        dx, grads = bigru_backward(d_out, got_cache, p)
+        dx_want, grads_want = bigru_backward(d_out, want_cache, p)
+        self.same(dx, dx_want)
+        assert grads.keys() == grads_want.keys()
+        for name in grads:
+            self.same(grads[name], grads_want[name])
 
 
 class TestEncoderGradients:
