@@ -311,10 +311,30 @@ def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
 
 @dataclass
 class BiGruCache:
-    fwd: list[GruStepCache]
-    bwd: list[GruStepCache]
+    """What the BiGRU backward reads. `xs`, `ms` and each entry of `steps`
+    stack the two directions on a leading axis, each in its own step order:
+    the inputs, the masks (a trailing axis of one) and each step's
+    (h_prev, r, u, c). The per-direction step caches `fwd` and `bwd` are
+    views into them, built on first read, so scoring never builds them."""
+
+    xs: np.ndarray
+    ms: np.ndarray
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     concat: np.ndarray
     mask: np.ndarray
+
+    def _direction(self, d: int) -> list[GruStepCache]:
+        return [GruStepCache(self.xs[d, ..., s, :], h_prev[d], r[d], u[d], c[d],
+                             self.ms[d, ..., s, :])
+                for s, (h_prev, r, u, c) in enumerate(self.steps)]
+
+    @functools.cached_property
+    def fwd(self) -> list[GruStepCache]:
+        return self._direction(0)
+
+    @functools.cached_property
+    def bwd(self) -> list[GruStepCache]:
+        return self._direction(1)
 
 
 def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
@@ -327,8 +347,7 @@ def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
 
     Both directions advance in one loop of v steps, stacked on a leading axis
     of two: at step s the forward direction reads token s and the backward
-    one token v-1-s. Each direction's step caches are views into the stacked
-    arrays.
+    one token v-1-s. The cache keeps the stacked arrays.
     """
     if mask.sum(axis=-1).min() == 0:
         raise NumericError("all-pad-node: a block has no real token positions")
@@ -347,12 +366,10 @@ def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
         steps.append((h, r, u, c))
         kept = np.multiply(ms[..., s, :], h_new, out=out[..., s, :])
         h = kept + carry[..., s, :] * h
-    caches = [[GruStepCache(xs[d, ..., s, :], h_prev[d], r[d], u[d], c[d], ms[d, ..., s, :])
-               for s, (h_prev, r, u, c) in enumerate(steps)] for d in (0, 1)]
     concat = np.concatenate((out[0], out[1, ..., ::-1, :]), axis=-1)
     mixed = concat @ params["mix_W"] + params["mix_b"]
     mixed = mixed * mask[..., None].astype(x.dtype)
-    return mixed, BiGruCache(caches[0], caches[1], concat, mask)
+    return mixed, BiGruCache(xs, ms, steps, concat, mask)
 
 
 def bigru_backward(d_out: np.ndarray, cache: BiGruCache,

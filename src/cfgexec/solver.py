@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -256,16 +257,7 @@ def anderson(
         # trace is the view's sum, in the diagonal's order
         diag = gram.reshape(len(items), -1)[:, ::k]
         diag += cfg.ridge * (diag.sum(axis=1, keepdims=True) / (k - 1))
-        rhs = d_t @ g_last
-        try:
-            beta = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:  # some problem's matrix is singular: solve each
-            beta = np.full(rhs.shape, np.nan)
-            for j in range(len(items)):
-                try:
-                    beta[j] = np.linalg.solve(gram[j], rhs[j])
-                except np.linalg.LinAlgError:
-                    pass
+        beta = solve_stack(gram, d_t @ g_last)
         sums = beta.sum(axis=1)
         failed = []
         if not all(map(math.isfinite, sums.ravel().tolist())):  # some beta is not finite
@@ -283,6 +275,18 @@ def anderson(
         for j in range(len(items)):
             finish(j, x[j], it, False)
     return StackResult(x_out.reshape(size, *shape), results)
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each f64 system a[i] x = b[i] of a stack, as `np.linalg.solve`
+    does through the LAPACK gufunc it wraps, without the wrapper's checks.
+
+    A singular item solves to NaN, and the other items keep their bits; the
+    wrapper would raise `LinAlgError` for the whole stack instead. No
+    floating-point warning is raised for it.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,

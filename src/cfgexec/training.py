@@ -310,13 +310,14 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
 
 
 # Consecutive graphs of a batch that train together. Within a window, graphs
-# of one ids shape run as one stacked group, and each graph's gradients (about
-# 270 KB at h = 64) are held until the window is added to the batch sum in
-# batch order. A group's caches and its backward's temporaries take about
-# 680 KB per graph, and a window can be one group, so the window bounds the
-# extra memory; criterion 6's graphs come in three shapes, so a window of 6
-# gives groups of about two.
-GROUP_WINDOW = 6
+# of one ids shape run as one stacked group, largest group first, and each
+# graph's gradients (about 270 KB at h = 64) go to the batch sum as soon as
+# every earlier graph of the window has gone, so a window of distinct shapes
+# holds one graph's gradients at a time. A group's caches and its backward's
+# temporaries take about 680 KB per graph, and a window can be one group, so
+# the window bounds the extra memory; criterion 6's graphs come in three
+# shapes, so a window of 12 gives groups of about four.
+GROUP_WINDOW = 12
 
 
 def check_inputs(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
@@ -338,7 +339,8 @@ def run_epochs(steps, train_bundles: Sequence[GraphBundle], eval_bundles: Sequen
                config: TrainConfig, start_epoch: int = 0) -> Iterator[tuple[EpochRecord, ...]]:
     """The epoch loop both models train with; yields each epoch's (train, eval)
     records. `steps.train_window(window, epoch)` gives (logit, loss, grads)
-    per graph in window order, `steps.step(members, grads)` takes one
+    per graph in window order, and each graph's gradients are summed and
+    dropped before the next is asked for; `steps.step(members, grads)` takes one
     optimizer step per batch on its mean gradients (summed in f64 in batch
     order), and `steps.eval_pass(bundles)` returns what `evaluate` does."""
     for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -357,9 +359,9 @@ def run_epochs(steps, train_bundles: Sequence[GraphBundle], eval_bundles: Sequen
                     if summed is None:
                         summed = {k: v.astype(np.float64) for k, v in grads.items()}
                     else:
-                        for k, v in grads.items():
-                            summed[k] += v
-                del grads  # the next window holds none of this one's gradients
+                        for k in summed:
+                            summed[k] += grads[k]
+                    del grads  # summed, so the window's next group runs without it
             # the mean gradients die with the step, so the next batch does not hold them
             steps.step(members, {k: v / len(batch) for k, v in summed.items()})
         # one sigmoid over the epoch gives each graph's lone bits: the ops are elementwise
@@ -382,14 +384,19 @@ class _EquilibriumSteps:
         self.lambda_pf_max = 0.0
         self.max_w_violation = -np.inf  # max over steps of ||W||_inf - kappa/lambda_ref
 
-    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> list[tuple]:
-        """Forward and backward of a window's graphs, grouped by ids shape, in
-        window order. A non-finite loss raises as soon as its group returns."""
+    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> Iterator[tuple]:
+        """Forward and backward of a window's graphs, grouped by ids shape,
+        largest group first (ties in window order). Yields each graph's
+        (logit, loss, grads) in window order as soon as every earlier graph
+        has been yielded, and keeps no reference to it after, so a group's
+        stacked arrays are freed once its last graph is summed. A non-finite
+        loss raises as soon as its group returns."""
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, b in enumerate(window):
             groups.setdefault(b.ids.shape, []).append(i)
-        out: list = [None] * len(window)
-        # largest group first: while a group runs, only smaller ones' gradients are held
+        done: dict[int, tuple] = {}
+        released = 0
+        # largest group first: it runs while no other graph's gradients are held
         for members in sorted(groups.values(), key=len, reverse=True):
             bundles = [window[i] for i in members]
             seeds = [derive_seed(self.config.seed, "train", epoch, b.graph.id) for b in bundles]
@@ -401,8 +408,11 @@ class _EquilibriumSteps:
             self.gated.extend(cache.gated_adjacency)
             del cache  # the next group's forward need not share memory with this one
             for j, i in enumerate(members):
-                out[i] = (logits[j], losses[j], {k: v[j] for k, v in grads.items()})
-        return out
+                done[i] = (logits[j], losses[j], {k: v[j] for k, v in grads.items()})
+            del grads  # the stacked arrays live on only in the members' views
+            while released in done:
+                yield done.pop(released)
+                released += 1
 
     def step(self, members: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
         # the batch max of the gated estimates, which does not depend on their order

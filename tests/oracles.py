@@ -207,7 +207,12 @@ def bigru_forward_reference(x: np.ndarray, params, mask: np.ndarray):
         caches.append(direction)
     mixed = concat @ params["mix_W"] + params["mix_b"]
     mixed = mixed * mask[..., None].astype(x.dtype)
-    return mixed, BiGruCache(caches[0], caches[1], concat, mask)
+    # the cache stacks the directions' inputs, masks and step values
+    xs, ms = (np.stack([np.stack([getattr(c, name) for c in d], axis=-2) for d in caches])
+              for name in ("x", "mask"))
+    steps = list(zip(*([np.stack((getattr(f, name), getattr(b, name))) for f, b in zip(*caches)]
+                       for name in ("h_prev", "r", "u", "c"))))
+    return mixed, BiGruCache(xs, ms, steps, concat, mask)
 
 
 def interpret_cfg(lines: list[tuple[str, str]], labels: dict[str, int]):

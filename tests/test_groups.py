@@ -4,6 +4,7 @@ its group of one, through the solver, the forward, the backward and training.
 Every comparison is exact: arrays by dtype, shape and bytes, floats by ==.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from cfgexec import training
 from cfgexec.model import GraphBundle, forward, init_model_params, model_backward, prepare_graph
 from cfgexec.solver import DivergenceError, SolverConfig, anderson
 from cfgexec.synth import SyntheticSpec, generate_dataset
-from cfgexec.training import TrainConfig, metrics_csv_rows, train
+from cfgexec.training import AdamState, TrainConfig, metrics_csv_rows, train
 
 from oracles import anderson_reference
 
@@ -243,10 +244,14 @@ class TestGroupArguments:
 
 
 class TestTrainingWindows:
-    def test_windows_give_the_bits_of_graph_by_graph(self, monkeypatch):
-        ds = generate_dataset(SyntheticSpec(n_graphs=30, chain_length=4, node_count_range=(9, 12),
+    @staticmethod
+    def windows_against_singles(monkeypatch, node_count_range, **overrides):
+        """Train in windows and graph by graph (GROUP_WINDOW = 1); assert the
+        same bits and return the group sizes the windows ran."""
+        ds = generate_dataset(SyntheticSpec(n_graphs=30, chain_length=4,
+                                            node_count_range=node_count_range,
                                             vocab_size=16, seed=11))
-        cfg = TrainConfig(h=8, epochs=2, batch_size=12, seed=3, v_max=6, eval_noise_seeds=2)
+        cfg = TrainConfig(h=8, epochs=2, batch_size=12, seed=3, v_max=6, **overrides)
         sizes = []
         forward_group = training.forward
 
@@ -257,7 +262,7 @@ class TestTrainingWindows:
 
         monkeypatch.setattr(training, "forward", counting)
         grouped = train(ds[:24], cfg, ds[24:], vocab_size=16)
-        assert max(sizes) > 1 and sum(sizes) == 48
+        assert sum(sizes) == 48
         monkeypatch.setattr(training, "GROUP_WINDOW", 1)
         single = train(ds[:24], cfg, ds[24:], vocab_size=16)
         for name, value in single.store.params.items():
@@ -266,3 +271,88 @@ class TestTrainingWindows:
         assert grouped.adam.lambda_ref == single.adam.lambda_ref
         assert grouped.lambda_pf_max == single.lambda_pf_max
         assert grouped.max_w_violation == single.max_w_violation
+        return sizes
+
+    def test_windows_give_the_bits_of_graph_by_graph(self, monkeypatch):
+        sizes = self.windows_against_singles(monkeypatch, (9, 12), eval_noise_seeds=2)
+        assert max(sizes) > 1
+
+    def test_group_of_seven_gives_the_bits_of_graph_by_graph(self, monkeypatch):
+        # two ids shapes in windows of 12: some window forms a group of 7 or more
+        assert max(self.windows_against_singles(monkeypatch, (11, 12))) >= 7
+
+    @staticmethod
+    def by_shape(cfg):
+        """Generated graphs of many ids shapes, grouped by shape, most
+        common shape first."""
+        ds = generate_dataset(SyntheticSpec(n_graphs=200, chain_length=4, node_count_range=(9, 24),
+                                            vocab_size=16, tokens_per_block=3, seed=11))
+        shapes = {}
+        for g in ds:
+            b = prepare_graph(g, cfg)
+            shapes.setdefault(b.ids.shape, []).append(b)
+        return sorted(shapes.values(), key=len, reverse=True)
+
+    @staticmethod
+    def call_order(monkeypatch, window, cfg):
+        """Events of one window: ("forward", window positions of the group)
+        for each group's forward, ("yield", window position) for each graph
+        given back."""
+        events = []
+        position = {id(b): i for i, b in enumerate(window)}
+        forward_group = training.forward
+
+        def logging(bundles, *args, **kwargs):
+            events.append(("forward", [position[id(b)] for b in bundles]))
+            return forward_group(bundles, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", logging)
+        store = init_model_params(cfg, 16, cfg.seed)
+        steps = training._EquilibriumSteps(window, store, cfg, AdamState.init(store))
+        for i, (logit, loss, grads) in enumerate(steps.train_window(window, 1)):
+            events.append(("yield", i))
+        return events
+
+    def test_distinct_shapes_give_each_graph_before_the_next_forward(self, monkeypatch):
+        cfg = TrainConfig(h=8, seed=3, v_max=4)
+        window = [graphs[0] for graphs in self.by_shape(cfg)[:training.GROUP_WINDOW]]
+        assert len(window) == training.GROUP_WINDOW
+        events = self.call_order(monkeypatch, window, cfg)
+        assert events == [e for i in range(len(window)) for e in (("forward", [i]), ("yield", i))]
+
+    def test_largest_group_first_ties_in_window_order(self, monkeypatch):
+        cfg = TrainConfig(h=8, seed=3, v_max=4)
+        b, d, a, c = self.by_shape(cfg)[:4]
+        window = [d[0], b[0], a[0], b[1], d[1], a[1], c[0], b[2]]
+        events = self.call_order(monkeypatch, window, cfg)
+        assert events == [
+            ("forward", [1, 3, 7]),
+            ("forward", [0, 4]), ("yield", 0), ("yield", 1),
+            ("forward", [2, 5]), ("yield", 2), ("yield", 3), ("yield", 4), ("yield", 5),
+            ("forward", [6]), ("yield", 6), ("yield", 7),
+        ]
+
+    def test_window_holds_one_graph_at_a_time(self):
+        # Peak traced bytes of training one batch, up to its optimizer step:
+        # a window of distinct shapes against each of its graphs alone. The
+        # batch sum and one graph's work are live at once, which reads about
+        # 1.35 times a lone graph; holding the whole window's gradients until
+        # it ends read 3.6 times.
+        cfg = TrainConfig(h=64, seed=3, v_max=4, epochs=1, batch_size=training.GROUP_WINDOW)
+        window = [graphs[0] for graphs in self.by_shape(cfg)[:training.GROUP_WINDOW]]
+
+        def peak_bytes(graphs):
+            store = init_model_params(cfg, 16, cfg.seed)
+            steps = training._EquilibriumSteps(graphs, store, cfg, AdamState.init(store))
+            peaks = []
+            steps.step = lambda members, grads: peaks.append(tracemalloc.get_traced_memory()[1])
+            steps.eval_pass = lambda bundles: (0.0, None)
+            tracemalloc.start()
+            try:
+                next(training.run_epochs(steps, graphs, [], cfg))
+            finally:
+                tracemalloc.stop()
+            return peaks[0]
+
+        lone = max(peak_bytes([b]) for b in window)
+        assert peak_bytes(window) < 2.0 * lone

@@ -1,5 +1,7 @@
 """Fixed-point solvers, PF eigenvalue estimation, and the weight projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cfgexec.solver import (
     pf_eigenvalue,
     project_l1_ball,
     project_wellposed,
+    solve_stack,
 )
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import TrainConfig
@@ -98,6 +101,45 @@ class TestAnderson:
             n = naive_iterate(f, np.zeros(5), 2000, 1e-11)
             assert a.converged and n.converged
             assert np.abs(a.x_star - n.x_star).max() < 1e-5
+
+
+class TestSolveStack:
+    """`solve_stack` against `np.linalg.solve`, byte for byte, on stacks of
+    Anderson-sized systems."""
+
+    @staticmethod
+    def systems(rng, size, k):
+        a = rng.normal(size=(size, k, k))
+        a = a @ a.transpose(0, 2, 1) + rng.random() * np.eye(k)  # Gram-like
+        return a, rng.normal(size=(size, k, 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_regular_stacks(self, k):
+        rng = np.random.default_rng(k)
+        for size in (1, 2, 7):
+            a, b = self.systems(rng, size, k)
+            got, want = solve_stack(a, b), np.linalg.solve(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_singular_items_are_nan_and_others_keep_their_bits(self, k):
+        rng = np.random.default_rng(10 + k)
+        a, b = self.systems(rng, 6, k)
+        a[1] = 0.0
+        a[4, :, -1] = 0.0  # a zero column
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_stack(a, b)
+        for j in range(len(a)):
+            if j in (1, 4):
+                assert np.isnan(got[j]).all()
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(a[j], b[j])
+            else:
+                assert got[j].tobytes() == np.linalg.solve(a[j], b[j]).tobytes()
 
 
 class TestPfEigenvalue:
