@@ -60,6 +60,9 @@ def _cmd_vocab_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    if args.v_max < 1:
+        print(f"usage error: v_max must be >= 1, got {args.v_max}", file=sys.stderr)
+        return EXIT_USAGE
     vocab = read_vocab_file(args.vocab)
     text = Path(args.input).read_text(encoding="utf-8")
     graphs = []

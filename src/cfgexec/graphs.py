@@ -1,15 +1,16 @@
 """Control flow graph data model, adjacency preprocessing, merging, and file I/O.
 
-A graph is a set of tokenized basic blocks plus a directed {0,1} adjacency
-matrix with a marked entry block and a set of exit blocks. Exits must have no
-outgoing edges; the diagonal is always zero (self-influence is reintroduced
-by the +I term of :func:`renormalize`).
+A graph is a set of tokenized basic blocks plus a directed adjacency matrix
+(bool, as the constructors build it) with a marked entry block and a set of
+exit blocks. Exits must have no outgoing edges; the diagonal is always zero
+(self-influence is reintroduced by the +I term of :func:`renormalize`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,8 +44,10 @@ class GraphFileError(ValueError):
 class CfgGraph:
     """One control flow graph: token-id blocks, adjacency, entry/exit marks.
 
-    `nodes` holds one token-id sequence per basic block. `adjacency[i, j] == 1`
-    means an edge i -> j. `label` is an optional binary class tag.
+    `nodes` holds one token-id sequence per basic block. A true
+    `adjacency[i, j]` means an edge i -> j; `make_graph` and `merge_functions`
+    build it as a C-contiguous bool matrix, and every reader also takes a
+    {0,1} float one. `label` is an optional binary class tag.
     """
 
     id: str
@@ -71,15 +74,20 @@ def make_graph(
     exits: Iterable[int],
     label: int | None = None,
 ) -> CfgGraph:
-    """Build a CfgGraph from an edge list, materializing the adjacency matrix."""
+    """Build a CfgGraph from an edge list, materializing the adjacency as a
+    bool matrix (n² bytes). An edge outside [0, n) raises for the first such
+    edge in input order."""
     n = len(nodes)
-    adj = np.zeros((n, n), dtype=np.float64)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphValidationError(
-                "index-out-of-range", f"edge ({i}, {j}) outside [0, {n})", node=i
-            )
-        adj[i, j] = 1.0
+    edge_list = list(edges)
+    pairs = np.fromiter(chain.from_iterable(edge_list), dtype=np.intp).reshape(len(edge_list), 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]].tolist()
+        raise GraphValidationError(
+            "index-out-of-range", f"edge ({i}, {j}) outside [0, {n})", node=i
+        )
+    adj = np.zeros((n, n), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = True
     return CfgGraph(
         id=id,
         nodes=tuple(tuple(int(t) for t in seq) for seq in nodes),
@@ -139,12 +147,7 @@ def validate_graph(g: CfgGraph) -> None:
         raise GraphValidationError(
             "diagonal-nonzero", f"node {i} has a self-loop in raw adjacency", node=i
         )
-    off = (g.adjacency != 0) & (g.adjacency != 1)
-    if off.any():
-        i, j = (int(v[0]) for v in np.nonzero(off))
-        raise GraphValidationError(
-            "adjacency-domain", f"adjacency[{i},{j}] = {g.adjacency[i, j]} not in {{0,1}}", node=i
-        )
+    _check_domain(g.adjacency)
     if not (0 <= g.entry < n):
         raise GraphValidationError(
             "index-out-of-range", f"entry {g.entry} outside [0, {n})", node=g.entry
@@ -170,16 +173,28 @@ def validate_graph(g: CfgGraph) -> None:
         )
 
 
+def _check_domain(adjacency: np.ndarray) -> None:
+    """Raise adjacency-domain for the first entry outside {0, 1}."""
+    if adjacency.dtype == bool:
+        return
+    off = (adjacency != 0) & (adjacency != 1)
+    if off.any():
+        i, j = (int(v[0]) for v in np.nonzero(off))
+        raise GraphValidationError(
+            "adjacency-domain", f"adjacency[{i},{j}] = {adjacency[i, j]} not in {{0,1}}", node=i
+        )
+
+
 def renormalize(adjacency: np.ndarray) -> np.ndarray:
     """Apply the renormalization trick to a raw adjacency matrix.
 
     Returns D^{-1/2} (A+I) D^{-1/2} where D is the diagonal of row sums of
     A+I. Direction is preserved (no symmetrization); row sums of A+I are
-    always >= 1, so the scaling never divides by zero. The result is f64.
+    always >= 1, so the scaling never divides by zero. The result is f64,
+    with the same bits for a bool adjacency as for its f64 copy.
     """
-    a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
-    at = a + np.eye(n)
+    a = np.asarray(adjacency)
+    at = a + np.eye(a.shape[0])
     d = at.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(d)
     mat = at * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -212,9 +227,10 @@ def merge_functions(
         off += g.n
     total = off
     nodes: list[tuple[int, ...]] = []
-    adj = np.zeros((total, total), dtype=np.float64)
+    adj = np.zeros((total, total), dtype=bool)
     exits: set[int] = set()
     for g in graphs:
+        _check_domain(g.adjacency)  # the bool copy below would hide a value outside {0, 1}
         base = offsets[g.id]
         nodes.extend(g.nodes)
         adj[base : base + g.n, base : base + g.n] = g.adjacency
@@ -237,7 +253,7 @@ def merge_functions(
         dst = offsets[callee_id] + by_id[callee_id].entry
         if src == dst:
             continue  # a block cannot call into itself without violating the zero diagonal
-        adj[src, dst] = 1.0
+        adj[src, dst] = True
         exits.discard(src)
     labels = [g.label for g in graphs if g.label is not None]
     label = (1 if any(v == 1 for v in labels) else 0) if labels else None

@@ -325,7 +325,7 @@ def check_inputs(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
     """Both models' input checks: a non-empty training set and a label on every
     graph. Returns vocab_size, or one past the largest token id when it is None."""
     if not dataset:
-        raise ValueError("empty-dataset")
+        raise GraphValidationError("empty-dataset", "no training graphs")
     graphs = [*dataset, *eval_dataset]
     for g in graphs:
         if g.label is None:

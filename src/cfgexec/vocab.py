@@ -123,11 +123,14 @@ def encode_block(tokens: Sequence[str], vocab: Vocab, v_max: int) -> list[int]:
     """Encode a block's token stream as [bos] pieces [eos], truncated to v_max.
 
     Tokens past the cut are not encoded: once [bos] plus the pieces so far
-    fill v_max, the rest of the stream cannot reach the output.
+    fill v_max, the rest of the stream cannot reach the output. Raises
+    ValueError for v_max < 1.
     """
+    if v_max < 1:
+        raise ValueError(f"v_max must be >= 1, got {v_max}")
     out = [BOS_ID]
     for tok in tokens:
-        if len(out) >= v_max > 0:
+        if len(out) >= v_max:
             break
         out.extend(encode_token(tok, vocab))
     out.append(EOS_ID)

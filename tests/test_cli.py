@@ -95,6 +95,22 @@ class TestParseCli:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("v_max", ["0", "-3"])
+    def test_v_max_below_one_is_usage_error(self, tmp_path, capsys, v_max):
+        asm = tmp_path / "f.s"
+        asm.write_text(LISTING)
+        vocab = tmp_path / "vocab.json"
+        main(["vocab", "train", "--input", str(asm), "--size", "48", "--out", str(vocab)])
+        capsys.readouterr()
+        out = tmp_path / "graphs.json"
+        code = main(["parse", "--input", str(asm), "--vocab", str(vocab),
+                     "--out", str(out), "--v-max", v_max])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"usage error: v_max must be >= 1, got {v_max}"]
+        assert not out.exists()
+
+
 class TestGenerateTrainEval:
     def test_pipeline(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -185,6 +201,21 @@ class TestGenerateTrainEval:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_one_graph_file_is_data_error(self, tmp_path, capsys):
+        # the 75/25 split of one graph leaves no training graph
+        data = tmp_path / "one.json"
+        write_graph_file(generate_dataset(SyntheticSpec(n_graphs=2, node_count_range=(13, 15),
+                                                        chain_length=8, seed=3))[:1], data)
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                     "--h", "8", "--epochs", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ")
+        assert "empty-dataset" in err
+        assert "Traceback" not in err
 
     def test_dump_traces_follow_the_scored_solve(self, tmp_path):
         base, data = init_checkpoint(tmp_path, n_graphs=8, agent_mode="hard", phi="sigmoid")

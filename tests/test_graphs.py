@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cfgexec.asm import function_to_graph, parse_listing
 from cfgexec.graphs import (
     CfgGraph,
     GraphFileError,
@@ -19,6 +20,8 @@ from cfgexec.graphs import (
 )
 from cfgexec.model import ModelConfig, lambda_hats, prepare_graph
 from cfgexec.solver import pf_eigenvalue
+from cfgexec.synth import SyntheticSpec, generate_dataset
+from cfgexec.vocab import train_vocab
 
 from oracles import dense_spectral_radius
 
@@ -66,6 +69,101 @@ class TestValidate:
         with pytest.raises(GraphValidationError) as err:
             validate_graph(g)
         assert err.value.code == "adjacency-domain"
+
+
+class TestMakeGraph:
+    def test_first_bad_edge_in_input_order_is_named(self):
+        with pytest.raises(GraphValidationError) as err:
+            make_graph("e", [[2, 3]] * 3, [(0, 1), (2, 3), (-1, 0), (5, 1)], 0, [1])
+        assert err.value.code == "index-out-of-range"
+        assert err.value.node == 2
+        assert "edge (2, 3) outside [0, 3)" in str(err.value)
+
+    def test_empty_edge_list(self):
+        for edges in ([], (), iter([])):
+            g = make_graph("one", [[2, 3]], edges, 0, [0])
+            assert g.edges() == []
+            assert g.adjacency.shape == (1, 1)
+
+    def test_edges_from_a_generator(self):
+        g = make_graph("gen", [[2, 3]] * 3, ((i, i + 1) for i in range(2)), 0, [2])
+        assert g.edges() == [(0, 1), (1, 2)]
+
+
+def _bool_graph(rng, n):
+    a = rng.random((n, n)) < 0.3
+    np.fill_diagonal(a, False)
+    a[n - 1] = False
+    a[np.arange(n - 1), np.arange(1, n)] = True  # a chain keeps the exit reachable
+    return CfgGraph("b", ((2, 3),) * n, a, 0, frozenset({n - 1}))
+
+
+def _float_twin(g):
+    return CfgGraph(g.id, g.nodes, g.adjacency.astype(np.float64), g.entry, g.exits, g.label)
+
+
+class TestBoolAdjacency:
+    @staticmethod
+    def assert_bool_matrix(g):
+        assert g.adjacency.dtype == bool
+        assert g.adjacency.flags.c_contiguous
+        assert g.adjacency.nbytes == g.n * g.n
+
+    def test_every_constructor_builds_a_bool_matrix(self, tmp_path):
+        a, b = chain(3, "a"), chain(4, "b")
+        merged = merge_functions([a, b], [("a", 1, "b")])
+        path = tmp_path / "g.json"
+        write_graph_file([merged], path)
+        listing = "f:\ncmp eax, 0\njz L\nmov ebx, 1\nL: ret\n"
+        vocab = train_vocab(["cmp", "jz", "mov", "ret", "eax", "ebx", "0", "1", "L"], 40)
+        parsed = function_to_graph(parse_listing(listing)[0], vocab, 16)
+        synth = generate_dataset(SyntheticSpec(n_graphs=4, node_count_range=(13, 15),
+                                               chain_length=8, seed=3, vocab_size=16))
+        for g in [a, b, merged, *read_graph_file(path), parsed, *synth]:
+            self.assert_bool_matrix(g)
+
+    def test_renormalize_same_bytes_as_the_f64_copy(self):
+        rng = np.random.default_rng(11)
+        graphs = [_bool_graph(rng, int(n)) for n in rng.integers(1, 40, size=25)]
+        graphs += generate_dataset(SyntheticSpec(n_graphs=4, node_count_range=(80, 96),
+                                                 chain_length=60, tokens_per_block=1, seed=5))
+        for g in graphs:
+            out = renormalize(g.adjacency)
+            assert out.dtype == np.float64
+            assert out.tobytes() == renormalize(g.adjacency.astype(np.float64)).tobytes()
+
+    def test_graphs_equal_to_the_f64_twin(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 30):
+            g = _bool_graph(rng, n)
+            validate_graph(g)
+            assert graphs_equal(g, _float_twin(g))
+            assert graphs_equal(_float_twin(g), g)
+            assert _float_twin(g).edges() == g.edges()
+
+    def test_write_read_keeps_the_edges(self, tmp_path):
+        rng = np.random.default_rng(13)
+        graphs = [_bool_graph(rng, n) for n in (1, 5, 23)]
+        path = tmp_path / "b.json"
+        write_graph_file(graphs, path)
+        loaded = read_graph_file(path)
+        for g, back in zip(graphs, loaded):
+            assert back.edges() == g.edges()
+            assert np.array_equal(back.adjacency, g.adjacency)
+            self.assert_bool_matrix(back)
+
+    def test_merge_rejects_a_float_input_outside_the_domain(self):
+        bad = CfgGraph("d", ((2, 3), (2, 3)), np.array([[0.0, 2.0], [0.0, 0.0]]),
+                       0, frozenset({1}))
+        with pytest.raises(GraphValidationError) as err:
+            merge_functions([chain(2, "a"), bad], [])
+        assert err.value.code == "adjacency-domain"
+
+    def test_merge_takes_a_float_twin(self):
+        a, b = chain(3, "a"), chain(2, "b")
+        merged = merge_functions([_float_twin(a), b], [("a", 0, "b")])
+        assert graphs_equal(merged, merge_functions([a, b], [("a", 0, "b")]))
+        self.assert_bool_matrix(merged)
 
 
 class TestRenormalize:

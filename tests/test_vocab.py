@@ -110,6 +110,12 @@ class TestEncodeBlockCut:
             for v_max in (1, 2, 4, 32, 10**4):
                 assert encode_block(toks, vocab, v_max) == self.full_encode(toks, vocab, v_max)
 
+    def test_v_max_below_one_rejected(self):
+        vocab = train_vocab(CORPUS, 64)
+        for v_max in (0, -3):
+            with pytest.raises(ValueError, match="v_max must be >= 1"):
+                encode_block(CORPUS, vocab, v_max)
+
     def test_stops_encoding_at_the_cut(self, monkeypatch):
         import cfgexec.vocab
 
