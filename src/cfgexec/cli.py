@@ -115,10 +115,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     dataset = read_graph_file(args.data)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_set, eval_set = split(dataset, 0.75, config.seed)
     result = train(train_set, config, eval_set)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.history, out_dir / "metrics.csv")
     save_checkpoint(out_dir / "checkpoint", result.store, config, result.adam,
                     epoch=result.last_epoch)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,16 +77,13 @@ def make_graph(
     bool matrix (n² bytes). An edge outside [0, n) raises for the first such
     edge in input order."""
     n = len(nodes)
-    edge_list = list(edges)
-    pairs = np.fromiter(chain.from_iterable(edge_list), dtype=np.intp).reshape(len(edge_list), 2)
-    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-    if bad.size:
-        i, j = pairs[bad[0]].tolist()
-        raise GraphValidationError(
-            "index-out-of-range", f"edge ({i}, {j}) outside [0, {n})", node=i
-        )
     adj = np.zeros((n, n), dtype=bool)
-    adj[pairs[:, 0], pairs[:, 1]] = True
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphValidationError(
+                "index-out-of-range", f"edge ({i}, {j}) outside [0, {n})", node=i
+            )
+        adj[i, j] = True
     return CfgGraph(
         id=id,
         nodes=tuple(tuple(int(t) for t in seq) for seq in nodes),

@@ -216,6 +216,7 @@ class TestGenerateTrainEval:
         assert err.startswith("data error: ")
         assert "empty-dataset" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_dump_traces_follow_the_scored_solve(self, tmp_path):
         base, data = init_checkpoint(tmp_path, n_graphs=8, agent_mode="hard", phi="sigmoid")

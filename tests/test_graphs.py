@@ -89,6 +89,13 @@ class TestMakeGraph:
         g = make_graph("gen", [[2, 3]] * 3, ((i, i + 1) for i in range(2)), 0, [2])
         assert g.edges() == [(0, 1), (1, 2)]
 
+    def test_malformed_edge_raises(self):
+        for edges in ([(0, 1, 2), (1,)], [(0, 1), (1,)]):
+            with pytest.raises(ValueError):
+                make_graph("m", [[2, 3]] * 3, edges, 0, [2])
+        with pytest.raises(IndexError):
+            make_graph("f", [[2, 3]] * 3, [(1.5, 0)], 0, [2])
+
 
 def _bool_graph(rng, n):
     a = rng.random((n, n)) < 0.3
