@@ -15,7 +15,14 @@ import numpy as np
 
 from . import asm as asm_mod
 from .asm import AsmParseError
-from .graphs import GraphFileError, GraphValidationError, read_graph_file, write_graph_file
+from .graphs import (
+    GraphFileError,
+    GraphValidationError,
+    InputFileError,
+    read_graph_file,
+    read_text,
+    write_graph_file,
+)
 from .model import derive_seed, forward, init_model_params, model_backward, prepare_graph
 from .nn import NumericError, finite_diff_check
 from .solver import DivergenceError, SolverConfig, anderson, naive_iterate
@@ -42,7 +49,7 @@ def _collect_asm_tokens(input_path: Path) -> list[str]:
         q for pat in ("*.s", "*.asm", "*.txt") for q in input_path.glob(pat))
     tokens: list[str] = []
     for f in files:
-        for parsed in asm_mod.parse_listing(f.read_text(encoding="utf-8")):
+        for parsed in asm_mod.parse_listing(read_text(f)):
             stripped = asm_mod.strip_semantics(parsed.function)
             tokens.extend(asm_mod.function_tokens(stripped))
     return tokens
@@ -51,7 +58,7 @@ def _collect_asm_tokens(input_path: Path) -> list[str]:
 def _cmd_vocab_train(args: argparse.Namespace) -> int:
     tokens = _collect_asm_tokens(Path(args.input))
     if not tokens:
-        print("no assembly tokens found", file=sys.stderr)
+        print(f"data error: no assembly tokens found in {args.input}", file=sys.stderr)
         return EXIT_DATA
     vocab = train_vocab(tokens, args.size)
     write_vocab_file(vocab, args.out)
@@ -64,7 +71,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         print(f"usage error: v_max must be >= 1, got {args.v_max}", file=sys.stderr)
         return EXIT_USAGE
     vocab = read_vocab_file(args.vocab)
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = read_text(args.input)
     graphs = []
     for parsed in asm_mod.parse_listing(text):
         stripped = asm_mod.strip_semantics(parsed.function)
@@ -134,6 +141,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     store, config, _adam, _epoch = load_checkpoint(args.checkpoint)
     dataset = read_graph_file(args.data)
     bundles = [prepare_graph(g, config) for g in dataset]
+    # ids the embedding has no row for are bad input, checked here once, not per forward
+    vocab_size = store.params["emb"].shape[0]
+    for b in bundles:
+        top = int(b.ids.max())
+        if top >= vocab_size:
+            raise GraphValidationError(
+                "id-out-of-range", f"graph {b.graph.id!r} has token id {top}, but the "
+                f"checkpoint's vocabulary has {vocab_size} ids (0-{vocab_size - 1})")
     loss, report, _ = evaluate(bundles, store, config,
                                noise_seeds=config.eval_noise_seeds)
     print(f"loss={loss:.6f} accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
@@ -272,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return func(args)
     except (GraphFileError, GraphValidationError, VocabError, SynthesisError,
-            AsmParseError, CheckpointError, FileNotFoundError) as exc:
+            AsmParseError, CheckpointError, InputFileError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NumericError) as exc:

@@ -39,6 +39,23 @@ class GraphFileError(ValueError):
         self.code = code
 
 
+class InputFileError(ValueError):
+    """An input file that cannot be read as text: a directory, or bytes that
+    are not UTF-8. The message names the file."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; raises InputFileError naming it when it
+    is a directory or does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise InputFileError(f"{path} is a directory, not a file") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+                             ) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class CfgGraph:
     """One control flow graph: token-id blocks, adjacency, entry/exit marks.
@@ -121,12 +138,13 @@ def reachable_from(adjacency: np.ndarray, start: int) -> set[int]:
     return seen
 
 
-def validate_graph(g: CfgGraph) -> None:
+def validate_graph(g: CfgGraph) -> set[int]:
     """Check all CfgGraph invariants; raise GraphValidationError on the first failure.
 
     Checks: square {0,1} adjacency with a zero diagonal, in-range entry/exit
     indices, zero out-degree for exits, and that the entry reaches at least
-    one exit by directed edges.
+    one exit by directed edges. Returns the nodes reachable from the entry,
+    which the last check walks.
     """
     n = g.n
     if n < 1:
@@ -167,6 +185,7 @@ def validate_graph(g: CfgGraph) -> None:
             f"no exit reachable from entry {g.entry} (exits={sorted(g.exits)})",
             node=offender,
         )
+    return reach
 
 
 def _check_domain(adjacency: np.ndarray) -> None:
@@ -314,7 +333,7 @@ def _graph_from_obj(obj: object, index: int) -> CfgGraph:
 
 def read_graph_file(path: str | Path, validate: bool = True) -> list[CfgGraph]:
     """Load graphs from a JSON graph file; see `write_graph_file` for the schema."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

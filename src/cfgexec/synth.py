@@ -30,13 +30,13 @@ rest filler.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import CfgGraph, make_graph, reachable_from, validate_graph
+from .graphs import CfgGraph, make_graph, reachable_from, read_text, validate_graph
 from .model import derive_seed
 from .nn import BOS_ID, EOS_ID
 
@@ -75,6 +75,10 @@ class SyntheticSpec:
     hint_reliability: float = 0.68
 
     def __post_init__(self) -> None:
+        for name in ("n_graphs", "tokens_per_block"):
+            if getattr(self, name) < 1:
+                raise SynthesisError("infeasible-spec",
+                                     f"{name} must be >= 1, got {getattr(self, name)}")
         lo, hi = self.node_count_range
         if not (0 < lo <= hi):
             raise SynthesisError("infeasible-spec", f"bad node_count_range {self.node_count_range}")
@@ -117,16 +121,47 @@ class SyntheticSpec:
         return min(3, self.chain_length) if self.chain_length > 0 else 1
 
 
+def _json_fits(value: object, default: object) -> bool:
+    """Whether a JSON value can stand for a field whose default is `default`:
+    an int for an int, an int or float for a float, a bool for a bool, and a
+    list of fitting values for a tuple."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_json_fits(v, d) for v, d in zip(value, default)))
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
+
+
 def spec_from_json(path: str | Path) -> SyntheticSpec:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """A SyntheticSpec from a JSON object of its fields; raises SynthesisError
+    ("bad-spec") naming the file when the document is not such an object: not
+    JSON, not an object, a field SyntheticSpec lacks, or a value of the wrong
+    JSON type for its field."""
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SynthesisError("bad-spec", f"{path}: line {exc.lineno} column {exc.colno}: "
+                                         f"{exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise SynthesisError("bad-spec", f"{path}: not a JSON object")
+    defaults = {f.name: f.default for f in fields(SyntheticSpec)}
+    for name, value in data.items():
+        if name not in defaults:
+            raise SynthesisError("bad-spec", f"{path}: unknown field {name!r}")
+        if not _json_fits(value, defaults[name]):
+            raise SynthesisError("bad-spec", f"{path}: {name} is {json.dumps(value)}, which "
+                                             f"cannot stand for {defaults[name]!r}")
     if "node_count_range" in data:
         data["node_count_range"] = tuple(data["node_count_range"])
     return SyntheticSpec(**data)
 
 
-def payload_reachable(graph: CfgGraph, vuln_token_id: int) -> bool:
-    """Brute-force oracle: does any reachable block contain the payload token?"""
-    reach = reachable_from(graph.adjacency, graph.entry)
+def payload_reachable(graph: CfgGraph, vuln_token_id: int, reach: set[int] | None = None) -> bool:
+    """Brute-force oracle: does any reachable block contain the payload token?
+    `reach` is the set of nodes reachable from the entry, when already walked."""
+    if reach is None:
+        reach = reachable_from(graph.adjacency, graph.entry)
     return any(vuln_token_id in graph.nodes[i] for i in reach)
 
 
@@ -202,8 +237,8 @@ def _generate_one(spec: SyntheticSpec, index: int) -> CfgGraph:
     sinks = [i for i in range(n) if out_degree[i] == 0]
     g = make_graph(id=f"synth-{spec.seed}-{index}", nodes=tokens, edges=edges,
                    entry=entry, exits=sinks, label=target_label)
-    validate_graph(g)
-    oracle = int(payload_reachable(g, spec.vuln_token_id))
+    # validate_graph's exit check walks from the entry; the oracle reads that walk
+    oracle = int(payload_reachable(g, spec.vuln_token_id, validate_graph(g)))
     if oracle != target_label:
         raise SynthesisError(
             "infeasible-spec",

@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .graphs import read_text
 from .nn import BOS_ID, EOS_ID, UNK_ID
 
 VOCAB_FORMAT_VERSION = 1
@@ -144,7 +145,7 @@ def write_vocab_file(vocab: Vocab, path: str | Path) -> None:
 
 def read_vocab_file(path: str | Path) -> Vocab:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise VocabError("parse-error", f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict) or data.get("format_version") != VOCAB_FORMAT_VERSION:

@@ -9,6 +9,16 @@ script imports only `cfgexec`, so it also runs against an older tree:
 pytest module (pytest collects `test_*.py` only) and takes about 12 s on
 two CPUs.
 
+    PYTHONPATH=src python3 tests/digests.py --against <other checkout>/src
+
+does both runs and the comparison: it computes this tree's lines, then runs
+the script again in a subprocess that imports `cfgexec` from the other
+`src` and inherits this environment, so both sides run at the same BLAS
+thread setting (`OPENBLAS_NUM_THREADS` and the like, or the same default).
+It prints one `differs: <what>` line for every line that is not the same on
+both sides (a line one side lacks included), and exits 1 if there is any;
+it exits 2 if the other tree has no `cfgexec` or its run fails.
+
 What it hashes:
 - 3 epochs of criterion 6's training run (its data, split and config): the
   final and best-AUC parameters, the metrics CSV rows, lambda_ref,
@@ -17,8 +27,8 @@ What it hashes:
 - a small f64 training run with 2 eval noise seeds: parameters, CSV rows,
   lambda_ref and lambda_pf_max;
 - an f64 training run with the hard agent and send gates, on graphs of
-  several shapes, whose batches span several training windows: parameters,
-  CSV rows, lambda_ref and lambda_pf_max;
+  several shapes, in batches of 20 (several windows each at windows of 6 or 12,
+  one at 20): parameters, CSV rows, lambda_ref and lambda_pf_max;
 - eval-mode logits, fixed points and solver logs of 100 deep graphs (80-96
   one-token blocks) at initial parameters, for the soft and the hard agent;
 - long blocks (19-32 token positions, 9-27 blocks per graph): eval-mode
@@ -32,8 +42,13 @@ What it hashes:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
@@ -172,12 +187,42 @@ def gcn_early_stop() -> dict[str, str]:
             "gcn early-stop params": params_digest(result.store)}
 
 
-def main() -> None:
-    for part in (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
-                 gcn_history, gcn_early_stop):
+PARTS = (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
+         gcn_history, gcn_early_stop)
+
+
+def compare(other_src: Path) -> int:
+    """This tree's digests against the other tree's; 1 if any line differs."""
+    if not (other_src / "cfgexec" / "__init__.py").is_file():
+        print(f"digests: no cfgexec package under {other_src}", file=sys.stderr)
+        return 2
+    ours = {what: value for part in PARTS for what, value in part().items()}
+    env = {**os.environ, "PYTHONPATH": str(other_src)}
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    if run.returncode != 0:
+        print(f"digests: the run against {other_src} failed:\n{run.stderr}", file=sys.stderr)
+        return 2
+    theirs = dict(line.split(" ", 1)[::-1] for line in run.stdout.splitlines())
+    differing = [what for what in [*ours, *(w for w in theirs if w not in ours)]
+                 if ours.get(what) != theirs.get(what)]
+    for what in differing:
+        print(f"differs: {what}")
+    print(f"{len(ours) - len(differing)} of {len(ours)} lines match {other_src}")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path,
+                        help="the other checkout's src directory; compare with its digests")
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against.resolve())
+    for part in PARTS:
         for what, value in part().items():
             print(value, what, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

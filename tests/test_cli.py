@@ -70,6 +70,18 @@ class TestVocabCli:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("where", ["missing.s", "empty-dir"])
+    def test_no_listing_is_data_error_naming_the_input(self, tmp_path, capsys, where):
+        (tmp_path / "empty-dir").mkdir()
+        out = tmp_path / "v.json"
+        code = main(["vocab", "train", "--input", str(tmp_path / where), "--size", "48",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: no assembly tokens found in {tmp_path / where}"]
+        assert not out.exists()
+
+
 class TestParseCli:
     def test_parse_listing_to_graphs(self, tmp_path):
         asm = tmp_path / "f.s"
@@ -338,6 +350,107 @@ class TestCheckpointFiles:
         assert config.solver == SolverConfig()
         assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_OK
         assert capsys.readouterr().out == expected
+
+
+# Every command that reads an input file, with "{name}" for each input; each
+# writes "{out}" only when it succeeds.
+READERS = {
+    "vocab": ["vocab", "train", "--input", "{listing}", "--size", "48", "--out", "{out}"],
+    "parse": ["parse", "--input", "{listing}", "--vocab", "{vocab}", "--out", "{out}"],
+    "generate": ["generate", "--spec", "{spec}", "--out", "{out}"],
+    "train": ["train", "--data", "{data}", "--out-dir", "{out}", "--h", "8", "--epochs", "1"],
+    "eval": ["eval", "--checkpoint", "{checkpoint}", "--data", "{data}",
+             "--dump-traces", "{out}"],
+}
+# the first bytes of an ELF object file: not UTF-8
+OBJECT_BYTES = b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))
+
+
+def run_reader(tmp_path, capsys, command, name, bad):
+    """Run `command` on valid inputs except `name`, which is `bad`; assert a
+    data error naming `bad` (the manifest, for a checkpoint), with nothing
+    written, and return its message."""
+    base, data = init_checkpoint(tmp_path)
+    listing = tmp_path / "f.s"
+    listing.write_text(LISTING)
+    vocab = tmp_path / "vocab.json"
+    main(["vocab", "train", "--input", str(listing), "--size", "48", "--out", str(vocab)])
+    inputs = {"listing": listing, "vocab": vocab, "spec": tmp_path / "spec.json",
+              "data": data, "checkpoint": base, "out": tmp_path / "out"}
+    inputs[name] = bad.with_suffix("") if name == "checkpoint" else bad
+    capsys.readouterr()
+    code = main([arg.format(**inputs) for arg in READERS[command]])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("data error: ")
+    assert str(bad) in err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command,name", [("vocab", "listing"), ("parse", "listing"),
+                                              ("parse", "vocab"), ("generate", "spec"),
+                                              ("train", "data"), ("eval", "data"),
+                                              ("eval", "checkpoint")])
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys, command, name):
+        bad = tmp_path / "compiled.json"
+        bad.write_bytes(OBJECT_BYTES)
+        assert "not UTF-8" in run_reader(tmp_path, capsys, command, name, bad)
+
+    @pytest.mark.parametrize("command,name", [("parse", "listing"), ("parse", "vocab"),
+                                              ("generate", "spec"), ("train", "data"),
+                                              ("eval", "data")])
+    def test_directory_is_data_error(self, tmp_path, capsys, command, name):
+        bad = tmp_path / "folder"
+        bad.mkdir()
+        assert "is a directory" in run_reader(tmp_path, capsys, command, name, bad)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n_graphs": 4,', "line 1"),
+        ('{"n_graphs": 4, "colour": "red"}', "unknown field 'colour'"),
+        ("[4, 8]", "not a JSON object"),
+        ('{"node_count_range": [13]}', "node_count_range is [13]"),
+        ('{"node_count_range": [13, "15"]}', "node_count_range"),
+        ('{"n_graphs": "4"}', "n_graphs is \"4\""),
+        ('{"n_graphs": 4.5}', "n_graphs is 4.5"),
+        ('{"seed": true}', "seed is true"),
+        ('{"exclusive_branching": 1}', "exclusive_branching is 1"),
+    ])
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad-spec.json"
+        bad.write_text(text)
+        err = run_reader(tmp_path, capsys, "generate", "spec", bad)
+        assert "bad-spec" in err and message in err
+
+    @pytest.mark.parametrize("field", ["n_graphs", "tokens_per_block"])
+    def test_spec_below_one_is_data_error(self, tmp_path, capsys, field):
+        # n_graphs 0 wrote an empty dataset; tokens_per_block 0 raised from numpy
+        spec = write_spec(tmp_path / "spec.json", **{field: 0})
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: infeasible-spec: {field} must be >= 1, got 0"]
+        assert not out.exists()
+
+    def test_token_id_outside_the_vocabulary_is_data_error(self, tmp_path, capsys):
+        # the checkpoint's embedding has 16 rows; one block of one graph holds id 40
+        base, data = init_checkpoint(tmp_path)
+        doc = json.loads(data.read_text())
+        doc["graphs"][2]["nodes"][1] = [2, 40, 3]
+        data.write_text(json.dumps(doc))
+        traces = tmp_path / "traces.json"
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(base), "--data", str(data),
+                     "--dump-traces", str(traces)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.splitlines() == [
+            f"data error: id-out-of-range: graph {doc['graphs'][2]['id']!r} has token id 40, "
+            "but the checkpoint's vocabulary has 16 ids (0-15)"]
+        assert not traces.exists()
 
 
 class TestChecks:

@@ -245,13 +245,14 @@ class TestGroupArguments:
 
 class TestTrainingWindows:
     @staticmethod
-    def windows_against_singles(monkeypatch, node_count_range, **overrides):
-        """Train in windows and graph by graph (GROUP_WINDOW = 1); assert the
-        same bits and return the group sizes the windows ran."""
-        ds = generate_dataset(SyntheticSpec(n_graphs=30, chain_length=4,
+    def windows_against_singles(monkeypatch, node_count_range, n_train=24, batch_size=12,
+                                **overrides):
+        """Train 2 epochs in windows and graph by graph (GROUP_WINDOW = 1);
+        assert the same bits and return the group sizes the windows ran."""
+        ds = generate_dataset(SyntheticSpec(n_graphs=n_train + 6, chain_length=4,
                                             node_count_range=node_count_range,
                                             vocab_size=16, seed=11))
-        cfg = TrainConfig(h=8, epochs=2, batch_size=12, seed=3, v_max=6, **overrides)
+        cfg = TrainConfig(h=8, epochs=2, batch_size=batch_size, seed=3, v_max=6, **overrides)
         sizes = []
         forward_group = training.forward
 
@@ -261,31 +262,43 @@ class TestTrainingWindows:
             return forward_group(bundle, *args, **kwargs)
 
         monkeypatch.setattr(training, "forward", counting)
-        grouped = train(ds[:24], cfg, ds[24:], vocab_size=16)
-        assert sum(sizes) == 48
+        grouped = train(ds[:n_train], cfg, ds[n_train:], vocab_size=16)
+        grouped_sizes = sizes.copy()
+        assert sum(grouped_sizes) == 2 * n_train
         monkeypatch.setattr(training, "GROUP_WINDOW", 1)
-        single = train(ds[:24], cfg, ds[24:], vocab_size=16)
+        single = train(ds[:n_train], cfg, ds[n_train:], vocab_size=16)
         for name, value in single.store.params.items():
             assert same_array(grouped.store.params[name], value), name
         assert metrics_csv_rows(grouped.history) == metrics_csv_rows(single.history)
         assert grouped.adam.lambda_ref == single.adam.lambda_ref
         assert grouped.lambda_pf_max == single.lambda_pf_max
         assert grouped.max_w_violation == single.max_w_violation
-        return sizes
+        return grouped_sizes
 
     def test_windows_give_the_bits_of_graph_by_graph(self, monkeypatch):
         sizes = self.windows_against_singles(monkeypatch, (9, 12), eval_noise_seeds=2)
         assert max(sizes) > 1
 
     def test_group_of_seven_gives_the_bits_of_graph_by_graph(self, monkeypatch):
-        # two ids shapes in windows of 12: some window forms a group of 7 or more
+        # two ids shapes in batches of 12, each batch one window: some batch
+        # forms a group of 7 or more
         assert max(self.windows_against_singles(monkeypatch, (11, 12))) >= 7
+
+    def test_full_window_of_one_shape_is_one_group(self, monkeypatch):
+        # every graph has 11 blocks of at most 5 ids, so one ids shape: each
+        # batch runs its first window as one group of GROUP_WINDOW graphs and
+        # its last 4 graphs as one more
+        window = training.GROUP_WINDOW
+        sizes = self.windows_against_singles(monkeypatch, (11, 11), n_train=window + 4,
+                                             batch_size=window + 4)
+        assert sizes == [window, 4, window, 4]
 
     @staticmethod
     def by_shape(cfg):
-        """Generated graphs of many ids shapes, grouped by shape, most
-        common shape first."""
-        ds = generate_dataset(SyntheticSpec(n_graphs=200, chain_length=4, node_count_range=(9, 24),
+        """Generated graphs of GROUP_WINDOW + 4 ids shapes, one per block
+        count, grouped by shape, most common shape first."""
+        blocks = (9, 12 + training.GROUP_WINDOW)
+        ds = generate_dataset(SyntheticSpec(n_graphs=200, chain_length=4, node_count_range=blocks,
                                             vocab_size=16, tokens_per_block=3, seed=11))
         shapes = {}
         for g in ds:
@@ -336,8 +349,9 @@ class TestTrainingWindows:
         # Peak traced bytes of training one batch, up to its optimizer step:
         # a window of distinct shapes against each of its graphs alone. The
         # batch sum and one graph's work are live at once, which reads about
-        # 1.35 times a lone graph; holding the whole window's gradients until
-        # it ends read 3.6 times.
+        # 1.5 times the largest lone graph at a window of 20 (1.35 at 12);
+        # holding the whole window's gradients until it ends read 3.6 times
+        # at 12.
         cfg = TrainConfig(h=64, seed=3, v_max=4, epochs=1, batch_size=training.GROUP_WINDOW)
         window = [graphs[0] for graphs in self.by_shape(cfg)[:training.GROUP_WINDOW]]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfgexec import graphs, synth
 from cfgexec.graphs import graphs_equal, make_graph, reachable_from, validate_graph
 from cfgexec.synth import (
     HINT_ID,
@@ -62,6 +63,19 @@ class TestGenerate:
         for g in generate_dataset(spec):
             assert g.label == int(payload_reachable(g, spec.vuln_token_id))
             validate_graph(g)
+
+    def test_one_reachability_walk_per_graph(self, monkeypatch):
+        # validate_graph's exit check and the label oracle share one walk
+        walks = []
+
+        def counting(adjacency, start):
+            walks.append(start)
+            return reachable_from(adjacency, start)
+
+        monkeypatch.setattr(graphs, "reachable_from", counting)
+        monkeypatch.setattr(synth, "reachable_from", counting)
+        spec = SyntheticSpec(n_graphs=20, chain_length=8, seed=9)
+        assert len(generate_dataset(spec)) == len(walks) == 20
 
     def test_label_balance(self):
         spec = SyntheticSpec(n_graphs=500, chain_length=8, seed=11)
