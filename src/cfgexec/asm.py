@@ -313,9 +313,8 @@ def function_tokens(fn: AsmFunction) -> list[str]:
     return out
 
 
-def function_to_graph(parsed: ParsedFunction, vocab: Vocab, v_max: int,
-                      label: int | None = None) -> CfgGraph:
-    """Encode a parsed (and stripped) function as a CfgGraph."""
+def function_to_graph(parsed: ParsedFunction, vocab: Vocab, v_max: int) -> CfgGraph:
+    """Encode a parsed (and stripped) function as an unlabeled CfgGraph."""
     fn = parsed.function
     nodes = []
     for block in parsed.blocks:
@@ -324,4 +323,4 @@ def function_to_graph(parsed: ParsedFunction, vocab: Vocab, v_max: int,
             toks.extend(tokenize_instruction(fn.lines[idx]))
         nodes.append(encode_block(toks, vocab, v_max))
     return make_graph(id=fn.name, nodes=nodes, edges=list(parsed.edges), entry=0,
-                      exits=list(parsed.exits), label=label)
+                      exits=list(parsed.exits))

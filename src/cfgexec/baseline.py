@@ -65,7 +65,7 @@ def gcn_forward_backward(bundle: GraphBundle, store: ParamStore, config: TrainCo
     act, dact = ACTIVATIONS[config.phi]
     x_emb = embed(bundle.ids, p["emb"])
     h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
-    u0, pool_cache = time_pool(h_seq, config.pool, bundle.mask)
+    u0, pool_cache = time_pool(h_seq, bundle.mask)
     keep = None
     if mode == "train" and config.dropout > 0.0:
         keep = dropout_mask(u0.shape, config.dropout,

@@ -23,7 +23,7 @@ from .graphs import (
     read_text,
     write_graph_file,
 )
-from .model import derive_seed, forward, init_model_params, model_backward, prepare_graph
+from .model import forward, init_model_params, model_backward, prepare_graph
 from .nn import NumericError, finite_diff_check
 from .solver import DivergenceError, SolverConfig, anderson, naive_iterate
 from .synth import SynthesisError, SyntheticSpec, generate_dataset, spec_from_json, split
@@ -42,6 +42,25 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# the files `train` writes into its --out-dir
+_TRAIN_OUTPUTS = ("metrics.csv", "checkpoint.json", "checkpoint.bin")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise IsADirectoryError or NotADirectoryError for the first output path
+    that a command could not write once its work is done."""
+    for name in ("out", "dump_traces", "dump_solver", "out_dir"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        p = Path(path)
+        for file in [p / f for f in _TRAIN_OUTPUTS] if name == "out_dir" else [p]:
+            if file.is_dir():
+                raise IsADirectoryError(f"output {file} is a directory")
+        # where it goes: for a directory, the nearest path mkdir(parents=True) finds
+        where = next(q for q in (p, *p.parents) if q.exists()) if name == "out_dir" else p.parent
+        if not where.is_dir():
+            raise NotADirectoryError(f"output {path}: {where} is not a directory")
 
 
 def _collect_asm_tokens(input_path: Path) -> list[str]:
@@ -149,19 +168,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise GraphValidationError(
                 "id-out-of-range", f"graph {b.graph.id!r} has token id {top}, but the "
                 f"checkpoint's vocabulary has {vocab_size} ids (0-{vocab_size - 1})")
-    loss, report, _ = evaluate(bundles, store, config,
-                               noise_seeds=config.eval_noise_seeds)
+    # the solve behind each score's first noise draw, with its per-iteration log
+    caches = [] if args.dump_traces or args.dump_solver else None
+    loss, report, _ = evaluate(bundles, store, config, noise_seeds=config.eval_noise_seeds,
+                               traces=caches)
     print(f"loss={loss:.6f} accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
-    if args.dump_traces or args.dump_solver:
-        # the solve behind each score's first noise draw, with its per-iteration log
-        caches = [forward(b, store, config, mode="eval",
-                          seed=derive_seed(config.seed, "eval", b.graph.id, 0),
-                          keep_trace=True)[1] for b in bundles]
-        if args.dump_traces:
-            _dump_traces(caches, Path(args.dump_traces))
-        if args.dump_solver:
-            _dump_solver(caches, Path(args.dump_solver))
+    if args.dump_traces:
+        _dump_traces(caches, Path(args.dump_traces))
+    if args.dump_solver:
+        _dump_solver(caches, Path(args.dump_solver))
     return EXIT_OK
 
 
@@ -214,7 +230,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 def _cmd_solvercheck(args: argparse.Namespace) -> int:
     x0 = np.array([0.0])
     naive = naive_iterate(lambda x: np.cos(x), x0, max_iter=200, tol=1e-10)
-    acc = anderson(lambda x: np.cos(x), x0, SolverConfig(max_iter=200), tol=1e-10)
+    acc = anderson(lambda x: np.cos(x), x0, SolverConfig(max_iter=200, tol=1e-10))
     target = 0.7390851332151607
     ok = (naive.converged and acc.converged
           and abs(float(naive.x_star[0]) - target) < 1e-8
@@ -285,9 +301,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        _check_outputs(args)  # before any work, which a bad output path would waste
         return func(args)
-    except (GraphFileError, GraphValidationError, VocabError, SynthesisError,
-            AsmParseError, CheckpointError, InputFileError, FileNotFoundError) as exc:
+    except (GraphFileError, GraphValidationError, VocabError, SynthesisError, AsmParseError,
+            CheckpointError, InputFileError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NumericError) as exc:

@@ -331,8 +331,8 @@ def _graph_from_obj(obj: object, index: int) -> CfgGraph:
     )
 
 
-def read_graph_file(path: str | Path, validate: bool = True) -> list[CfgGraph]:
-    """Load graphs from a JSON graph file; see `write_graph_file` for the schema."""
+def read_graph_file(path: str | Path) -> list[CfgGraph]:
+    """Load and validate graphs from a JSON graph file (schema: `write_graph_file`)."""
     text = read_text(path)
     try:
         data = json.loads(text)
@@ -345,9 +345,8 @@ def read_graph_file(path: str | Path, validate: bool = True) -> list[CfgGraph]:
              f"format_version {data.get('format_version')!r} != {GRAPH_FORMAT_VERSION}")
     _require(isinstance(data.get("graphs"), list), "missing graphs list")
     graphs = [_graph_from_obj(o, i) for i, o in enumerate(data["graphs"])]
-    if validate:
-        for g in graphs:
-            validate_graph(g)
+    for g in graphs:
+        validate_graph(g)
     return graphs
 
 

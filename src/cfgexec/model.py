@@ -61,7 +61,6 @@ class ModelConfig:
     tau: float = 16.0
     agent_mode: str = "soft"
     phi: str = "tanh"
-    pool: str = "avg"
     gate_axis: str = "recv"
     dropout: float = 0.5
     kappa: float = 0.9
@@ -82,7 +81,6 @@ class ModelConfig:
             raise ValueError(f"v_max must be >= 1, got {self.v_max}")
         for name, accepted in (("agent_mode", ("soft", "hard")),
                                ("phi", tuple(ACTIVATIONS)),
-                               ("pool", ("avg", "max")),
                                ("gate_axis", ("recv", "send")),
                                ("precision", ("f32", "f64"))):
             if getattr(self, name) not in accepted:
@@ -290,8 +288,6 @@ class GroupCache:
             total += c.x.size + c.h_prev.size + c.r.size + c.u.size + c.c.size + c.mask.size
         total += self.gru.concat.size + self.gru.mask.size
         total += self.pool.mask.size + self.pool.lengths.size
-        if self.pool.argmax is not None:
-            total += self.pool.argmax.size
         if self.keep is not None:
             total += self.keep.size
         sc = self.step_cache
@@ -412,7 +408,7 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         ids, mask = _stack([b.ids for b in bundles]), _stack([b.mask for b in bundles])
         x_emb = embed(ids, p["emb"])
         h_seq, gru_cache = bigru_forward(x_emb, p, mask)
-        u0, pool_cache = time_pool(h_seq, config.pool, mask)
+        u0, pool_cache = time_pool(h_seq, mask)
         keep = None
         if mode == "train" and config.dropout > 0.0:
             keep = _stack([dropout_mask(u0.shape[1:], config.dropout,
@@ -429,7 +425,6 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
             w=np.copy(p["W"]), omega=p["Om"], bias=p["cb"], noise=noise, tau=config.tau,
             hard=config.agent_mode == "hard", phi=config.phi, gate_axis=config.gate_axis,
         )
-    tol = config.solver.resolve_tol(dtype)
     hard = config.agent_mode == "hard"
     selected: list[list[int]] = [[] for _ in bundles]
 
@@ -444,8 +439,7 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         return reasons
 
     solve = anderson(_on_items(len(bundles), step.take), step.u.copy(), config.solver,
-                     tol=tol, on_iterate=on_iterate if hard or keep_trace else None,
-                     stacked=True)
+                     on_iterate=on_iterate if hard or keep_trace else None, stacked=True)
     if not keep_trace:
         for r in solve.results:
             del r.residuals[:-1]
@@ -489,7 +483,6 @@ def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray,
     per-iteration forward state is consulted.
     """
     step, sc = cache.step, cache.step_cache
-    tol = cache.config.solver.resolve_tol(dl_dxstar.dtype)
 
     def adjoint_map(items: slice | list[int]) -> Callable[[np.ndarray], np.ndarray]:
         sub, sub_cache, rhs = step.take(items), sc.take(items), dl_dxstar[items]
@@ -497,7 +490,7 @@ def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray,
 
     try:
         res = anderson(_on_items(len(cache.bundles), adjoint_map), dl_dxstar.copy(),
-                       cache.config.solver, tol=tol, stacked=True)
+                       cache.config.solver, stacked=True)
     except DivergenceError as exc:
         raise DivergenceError(f"adjoint-divergence: {exc}") from exc
     return step.vjp_params(sc, res.x_star)

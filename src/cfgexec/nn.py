@@ -148,37 +148,25 @@ def layer_norm_backward(d_out: np.ndarray, cache: LayerNormCache) -> tuple[np.nd
 
 @dataclass
 class PoolCache:
-    mode: str
     mask: np.ndarray
     lengths: np.ndarray
-    argmax: np.ndarray | None
     shape: tuple[int, ...]
 
 
-def time_pool(x: np.ndarray, mode: str, mask: np.ndarray) -> tuple[np.ndarray, PoolCache]:
-    """Pool (..., n, v, h) block states over real (unmasked) positions to (..., n, h)."""
+def time_pool(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, PoolCache]:
+    """Average (..., n, v, h) block states over real (unmasked) positions to (..., n, h)."""
     lengths = mask.sum(axis=-1)
     if (lengths == 0).any():
         raise NumericError("all-pad-node: a block has no real token positions")
     m = mask[..., None].astype(x.dtype)
-    if mode == "avg":
-        pooled = (x * m).sum(axis=-2) / lengths[..., None].astype(x.dtype)
-        return pooled, PoolCache("avg", mask, lengths, None, x.shape)
-    if mode == "max":
-        neg = np.where(m > 0, x, np.array(-np.inf, dtype=x.dtype))
-        arg = neg.argmax(axis=-2)  # (..., n, h)
-        pooled = np.take_along_axis(x, arg[..., None, :], axis=-2)[..., 0, :]
-        return pooled, PoolCache("max", mask, lengths, arg, x.shape)
-    raise ValueError(f"unknown pool mode {mode!r}")
+    pooled = (x * m).sum(axis=-2) / lengths[..., None].astype(x.dtype)
+    return pooled, PoolCache(mask, lengths, x.shape)
 
 
 def time_pool_backward(d_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     dx = np.zeros(cache.shape, dtype=d_out.dtype)
-    if cache.mode == "avg":
-        scale = d_out / cache.lengths[..., None].astype(d_out.dtype)
-        dx += scale[..., None, :] * cache.mask[..., None].astype(d_out.dtype)
-        return dx
-    np.put_along_axis(dx, cache.argmax[..., None, :], d_out[..., None, :], axis=-2)
+    scale = d_out / cache.lengths[..., None].astype(d_out.dtype)
+    dx += scale[..., None, :] * cache.mask[..., None].astype(d_out.dtype)
     return dx
 
 

@@ -16,6 +16,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 DIVERGENCE_LIMIT = 1e6
+# Tikhonov weight of the Anderson least-squares step, relative to the mean
+# squared residual difference, so it keeps its effect as residuals shrink
+ANDERSON_RIDGE = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -28,15 +31,12 @@ class SolverConfig:
 
     m is the residual history size (number of stored columns); m = 1 degrades
     to plain fixed-point iteration. tol is a relative residual threshold; when
-    None it is resolved per dtype (1e-5 for f32, 1e-8 for f64). ridge is the
-    Tikhonov weight of the Anderson least-squares step, relative to the mean
-    squared residual difference, so it keeps its effect as residuals shrink.
+    None it is resolved per dtype (1e-5 for f32, 1e-8 for f64).
     """
 
     m: int = 5
     max_iter: int = 50
     tol: float | None = None
-    ridge: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -65,7 +65,6 @@ def naive_iterate(
     x0: np.ndarray,
     max_iter: int = 50,
     tol: float = 1e-6,
-    on_iterate: Callable[[np.ndarray, int], str | None] | None = None,
 ) -> SolverResult:
     """Iterate x <- f(x) until the relative residual drops below tol.
 
@@ -84,10 +83,6 @@ def naive_iterate(
             raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
         if res < tol:
             return SolverResult(fx, residuals, it, True)
-        if on_iterate is not None:
-            reason = on_iterate(fx, it)
-            if reason is not None:
-                return SolverResult(fx, residuals, it, False, stop_reason=reason)
         x = fx
     return SolverResult(x, residuals, len(residuals), False)
 
@@ -122,7 +117,6 @@ def anderson(
     f: Callable,
     x0: np.ndarray,
     cfg: SolverConfig,
-    tol: float | None = None,
     on_iterate: Callable | None = None,
     stacked: bool = False,
 ) -> SolverResult | StackResult:
@@ -165,13 +159,13 @@ def anderson(
     if not stacked:
         stop = None if on_iterate is None else (
             lambda fx, it, _items: [on_iterate(fx[0], it)])
-        solve = anderson(lambda x, _items: f(x[0])[None], np.asarray(x0)[None], cfg, tol,
-                         stop, stacked=True)
+        solve = anderson(lambda x, _items: f(x[0])[None], np.asarray(x0)[None], cfg, stop,
+                         stacked=True)
         return solve.results[0]
     x0 = np.asarray(x0)
     size, shape = x0.shape[0], x0.shape[1:]
     x = x0.reshape(size, -1).copy()
-    tol = cfg.resolve_tol(x.dtype) if tol is None else tol
+    tol = cfg.resolve_tol(x.dtype)
     n, m = x.shape[1], cfg.m
     items = tuple(range(size))  # stack positions of the problems still running
     stack_shape = (size, *shape)
@@ -256,7 +250,7 @@ def anderson(
         # the ridge goes onto each matrix's diagonal, a strided view; the
         # trace is the view's sum, in the diagonal's order
         diag = gram.reshape(len(items), -1)[:, ::k]
-        diag += cfg.ridge * (diag.sum(axis=1, keepdims=True) / (k - 1))
+        diag += ANDERSON_RIDGE * (diag.sum(axis=1, keepdims=True) / (k - 1))
         beta = solve_stack(gram, d_t @ g_last)
         sums = beta.sum(axis=1)
         failed = []

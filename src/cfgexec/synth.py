@@ -51,7 +51,7 @@ FILLER_START = 10
 class SynthesisError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
-        self.code = code
+        self.code, self.message = code, message
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def _json_fits(value: object, default: object) -> bool:
 
 def spec_from_json(path: str | Path) -> SyntheticSpec:
     """A SyntheticSpec from a JSON object of its fields; raises SynthesisError
-    ("bad-spec") naming the file when the document is not such an object: not
+    naming the file: "bad-spec" when the document is not such an object (not
     JSON, not an object, a field SyntheticSpec lacks, or a value of the wrong
-    JSON type for its field."""
+    JSON type for its field), or SyntheticSpec's own "infeasible-spec"."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -154,7 +154,10 @@ def spec_from_json(path: str | Path) -> SyntheticSpec:
                                              f"cannot stand for {defaults[name]!r}")
     if "node_count_range" in data:
         data["node_count_range"] = tuple(data["node_count_range"])
-    return SyntheticSpec(**data)
+    try:
+        return SyntheticSpec(**data)
+    except SynthesisError as exc:
+        raise SynthesisError(exc.code, f"{path}: {exc.message}") from exc
 
 
 def payload_reachable(graph: CfgGraph, vuln_token_id: int, reach: set[int] | None = None) -> bool:

@@ -36,11 +36,15 @@ from .model import (
     prepare_graph,
 )
 from .nn import NumericError, ParamStore, sigmoid
-from .solver import SolverConfig, project_wellposed
+from .solver import ANDERSON_RIDGE, SolverConfig, project_wellposed
 
 CHECKPOINT_FORMAT_VERSION = 1
 # weight of the running lambda_ref against each new batch max
 LAMBDA_DECAY = 0.9
+# Adam's decay rates and denominator offset: the published defaults (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
@@ -52,9 +56,6 @@ class TrainConfig(ModelConfig):
     """Model settings plus optimizer hyperparameters (defaults per the method)."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 192
     epochs: int = 50
     seed: int = 0
@@ -62,7 +63,7 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("lr", "beta1", "beta2", "adam_eps", "batch_size"):
+        for name in ("lr", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
@@ -108,15 +109,15 @@ def adam_step(store: ParamStore, grads: Mapping[str, np.ndarray], config: TrainC
     contraction.
     """
     state.t += 1
-    b1c = 1.0 - config.beta1 ** state.t
-    b2c = 1.0 - config.beta2 ** state.t
+    b1c = 1.0 - ADAM_BETA1 ** state.t
+    b2c = 1.0 - ADAM_BETA2 ** state.t
     for name, p in store.params.items():
         g = grads[name].astype(p.dtype, copy=False)
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / b1c
         v_hat = state.v[name] / b2c
-        p -= (config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)).astype(p.dtype)
+        p -= (config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
     frozen = store.frozen.get("emb")
     if frozen is not None:
         store.params["emb"][frozen] = 0.0
@@ -161,6 +162,13 @@ def save_checkpoint(path: str | Path, store: ParamStore, config: TrainConfig,
     base.with_suffix(".bin").write_bytes(bytes(blob))
 
 
+# Config keys of earlier checkpoints and the values now fixed; another value would
+# run another model. Nothing read SolverConfig.kappa, so any value of it drops.
+_RETIRED_CONFIG_KEYS = {"pool": "avg", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                        "adam_eps": ADAM_EPS, "solver.ridge": ANDERSON_RIDGE,
+                        "solver.kappa": None}
+
+
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamState, int]:
     """Read a checkpoint back; raises CheckpointError when it cannot be used."""
     base = Path(path)
@@ -182,13 +190,18 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamStat
     try:
         cfg_dict = dict(manifest["config"])
         solver = dict(cfg_dict["solver"])
-        # earlier checkpoints carry SolverConfig.kappa, which nothing read (the
-        # projection uses ModelConfig.kappa); dropping it loads them unchanged
-        solver.pop("kappa", None)
+        for key, fixed in _RETIRED_CONFIG_KEYS.items():
+            section, _, name = key.rpartition(".")
+            value = (solver if section else cfg_dict).pop(name, fixed)
+            if fixed is not None and value != fixed:
+                raise CheckpointError(f"checkpoint config {key} is {value!r}, but this "
+                                      f"version fixes it at {fixed!r}")
         cfg_dict["solver"] = SolverConfig(**solver)
         config = TrainConfig(**cfg_dict)
         adam_t, epoch = int(manifest["adam_t"]), int(manifest["epoch"])
         lambda_ref = float(manifest.get("lambda_ref", 0.0))
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint config: {exc!r}") from exc
     if manifest["dtype"] not in ("<f4", "<f8"):
@@ -281,13 +294,16 @@ def write_metrics_csv(history: Sequence[EpochRecord], path: str | Path) -> None:
 
 
 def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
-             noise_seeds: int = 1) -> tuple[float, MetricsReport, list[float]]:
+             noise_seeds: int = 1, traces: list | None = None,
+             ) -> tuple[float, MetricsReport, list[float]]:
     """Eval-mode pass over a split; returns (mean loss, metrics, scores).
 
     noise_seeds > 1 averages scores over that many frozen agent-noise draws
     per graph, which tightens metrics without touching determinism (the
     seeds are derived from the config seed and graph id). The draws share
     the first draw's encoder pass, which eval mode makes seed-independent.
+    A list given as `traces` receives each graph's first-draw cache, run with
+    keep_trace (which leaves the score's bits as they are).
     """
     scores: list[float] = []
     labels: list[int] = []
@@ -300,11 +316,13 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
         for k in range(noise_seeds):
             logit, cache = forward(b, store, config, mode="eval",
                                    seed=derive_seed(config.seed, "eval", b.graph.id, k),
-                                   reuse=first)
+                                   keep_trace=k == 0 and traces is not None, reuse=first)
             probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
             if k == 0:
                 first = cache
                 losses.append(bce_with_logit(logit, b.label))
+        if traces is not None:
+            traces.append(first)
         scores.append(float(np.mean(probs)))
         labels.append(b.label)
     report = compute_metrics(np.array(scores), np.array(labels))

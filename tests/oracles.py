@@ -31,6 +31,7 @@ from cfgexec.nn import (
     time_pool_backward,
 )
 from cfgexec.solver import (
+    ANDERSON_RIDGE,
     DIVERGENCE_LIMIT,
     DivergenceError,
     SolverConfig,
@@ -108,7 +109,7 @@ def anderson_reference(f, x0, cfg: SolverConfig, tol=None, on_iterate=None) -> S
         g_last = G[:, -1]
         D = G[:, :-1] - g_last[:, None]
         gram = D.T @ D
-        lhs = gram + cfg.ridge * (float(np.trace(gram)) / (k - 1)) * np.eye(k - 1)
+        lhs = gram + ANDERSON_RIDGE * (float(np.trace(gram)) / (k - 1)) * np.eye(k - 1)
         rhs = -(D.T @ g_last)
         try:
             beta = np.linalg.solve(lhs, rhs)
@@ -283,7 +284,7 @@ def unrolled_model_grads(bundle, store, config, seed: int, label: int, steps: in
     p = store.params
     x_emb = embed(bundle.ids, p["emb"])
     h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
-    u, pool_cache = time_pool(h_seq, config.pool, bundle.mask)
+    u, pool_cache = time_pool(h_seq, bundle.mask)
     noise = np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
         size=bundle.n).astype(config.dtype)
     step = JointStep(a_hat=bundle.a_hat, u=u, w_s=p["ws"], w=p["W"], omega=p["Om"],

@@ -6,6 +6,7 @@ completes in seconds to a couple of minutes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,18 +99,18 @@ def test_criterion_3_fixed_point_correctness():
     rng = np.random.default_rng(0)
     stars = []
     for _ in range(10):
-        res = anderson(cache.step, rng.normal(size=cache.x_star.shape), cfg.solver,
-                       tol=1e-12)
+        res = anderson(cache.step, rng.normal(size=cache.x_star.shape),
+                       replace(cfg.solver, tol=1e-12))
         assert res.converged
         stars.append(res.x_star)
     spread = max(float(np.abs(s - stars[0]).max()) for s in stars)
 
-    a = anderson(cache.step, cache.step.u.copy(), cfg.solver, tol=1e-11)
+    a = anderson(cache.step, cache.step.u.copy(), replace(cfg.solver, tol=1e-11))
     n = naive_iterate(cache.step, cache.step.u.copy(), 3000, 1e-11)
     solver_gap = float(np.abs(a.x_star - n.x_star).max())
 
     x0 = np.array([0.0])
-    acc = anderson(np.cos, x0, SolverConfig(max_iter=200), tol=1e-10)
+    acc = anderson(np.cos, x0, SolverConfig(max_iter=200, tol=1e-10))
     plain = naive_iterate(np.cos, x0, 300, 1e-10)
     cos_err = abs(float(acc.x_star[0]) - COS_FIXED_POINT)
 

@@ -69,7 +69,7 @@ class TestGcnGradients:
 
             x_emb = embed(b.ids, p["emb"])
             h_seq, _ = bigru_forward(x_emb, p, b.mask)
-            u, _ = time_pool(h_seq, cfg.pool, b.mask)
+            u, _ = time_pool(h_seq, b.mask)
             x = u
             for layer in range(2):
                 x = np.tanh((b.a_hat.T @ x) @ p[f"gcn_W{layer}"])

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import cfgexec.cli
+import cfgexec.model
 from cfgexec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cfgexec.graphs import read_graph_file, write_graph_file
 from cfgexec.model import derive_seed, forward, init_model_params, prepare_graph
@@ -255,6 +257,23 @@ class TestGenerateTrainEval:
             if cache.termination != "max-steps":
                 assert steps[-1]["selected"] == int(np.argmax(cache.step_cache.z))
 
+    def test_dumps_come_from_the_scored_solves(self, tmp_path, monkeypatch):
+        # each graph is solved once per noise draw, and the dumps take the first
+        base, data = init_checkpoint(tmp_path, eval_noise_seeds=3)
+        solved = []
+        group = cfgexec.model._forward_group
+
+        def counted(bundles, *args):
+            solved.extend(b.graph.id for b in bundles)
+            return group(bundles, *args)
+
+        monkeypatch.setattr(cfgexec.model, "_forward_group", counted)
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data),
+                     "--dump-traces", str(tmp_path / "traces.json"),
+                     "--dump-solver", str(tmp_path / "solver.csv")]) == EXIT_OK
+        ids = [g.id for g in read_graph_file(data)]
+        assert sorted(solved) == sorted(ids * 3)
+
     def test_eval_averages_the_checkpoint_noise_seeds(self, tmp_path, capsys):
         # on these 6 eval graphs one noise draw gives AUC 0.333, three give 0.556
         graphs = generate_dataset(SyntheticSpec(n_graphs=12, node_count_range=(13, 15),
@@ -351,6 +370,23 @@ class TestCheckpointFiles:
         assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_OK
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("key,value", [("pool", "max"), ("beta1", 0.8), ("beta2", 0.99),
+                                           ("adam_eps", 1e-6), ("solver.ridge", 1e-4)])
+    def test_retired_key_at_another_value_is_data_error(self, tmp_path, capsys, key, value):
+        # earlier checkpoints carry these keys; loading another value would
+        # silently run another model
+        base, data = init_checkpoint(tmp_path)
+        manifest = base.with_suffix(".json")
+        doc = json.loads(manifest.read_text())
+        section, _, name = key.rpartition(".")
+        (doc["config"][section] if section else doc["config"])[name] = value
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"data error: checkpoint config {key} is {value!r}, ")
+
 
 # Every command that reads an input file, with "{name}" for each input; each
 # writes "{out}" only when it succeeds.
@@ -366,17 +402,22 @@ READERS = {
 OBJECT_BYTES = b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))
 
 
-def run_reader(tmp_path, capsys, command, name, bad):
-    """Run `command` on valid inputs except `name`, which is `bad`; assert a
-    data error naming `bad` (the manifest, for a checkpoint), with nothing
-    written, and return its message."""
+def reader_inputs(tmp_path, out):
+    """Valid inputs for every command in READERS, and `out` as its output."""
     base, data = init_checkpoint(tmp_path)
     listing = tmp_path / "f.s"
     listing.write_text(LISTING)
     vocab = tmp_path / "vocab.json"
     main(["vocab", "train", "--input", str(listing), "--size", "48", "--out", str(vocab)])
-    inputs = {"listing": listing, "vocab": vocab, "spec": tmp_path / "spec.json",
-              "data": data, "checkpoint": base, "out": tmp_path / "out"}
+    return {"listing": listing, "vocab": vocab, "spec": tmp_path / "spec.json",
+            "data": data, "checkpoint": base, "out": out}
+
+
+def run_reader(tmp_path, capsys, command, name, bad):
+    """Run `command` on valid inputs except `name`, which is `bad`; assert a
+    data error naming `bad` (the manifest, for a checkpoint), with nothing
+    written, and return its message."""
+    inputs = reader_inputs(tmp_path, out=tmp_path / "out")
     inputs[name] = bad.with_suffix("") if name == "checkpoint" else bad
     capsys.readouterr()
     code = main([arg.format(**inputs) for arg in READERS[command]])
@@ -432,7 +473,7 @@ class TestUnreadableInputs:
         capsys.readouterr()
         assert main(["generate", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
-            f"data error: infeasible-spec: {field} must be >= 1, got 0"]
+            f"data error: infeasible-spec: {spec}: {field} must be >= 1, got 0"]
         assert not out.exists()
 
     def test_token_id_outside_the_vocabulary_is_data_error(self, tmp_path, capsys):
@@ -450,6 +491,56 @@ class TestUnreadableInputs:
         assert err.splitlines() == [
             f"data error: id-out-of-range: graph {doc['graphs'][2]['id']!r} has token id 40, "
             "but the checkpoint's vocabulary has 16 ids (0-15)"]
+        assert not traces.exists()
+
+
+# each command's first step, which must not start when its output cannot be written
+FIRST_WORK = {"vocab": ["_collect_asm_tokens"], "parse": ["read_vocab_file"],
+              "generate": ["spec_from_json"], "train": ["read_graph_file", "train"],
+              "eval": ["load_checkpoint"]}
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("command,kind", [
+        *((command, kind) for command in ("vocab", "parse", "generate", "eval")
+          for kind in ("directory", "no-parent", "under-file")),
+        ("train", "file"), ("train", "under-file"), ("train", "holds-a-directory")])
+    def test_data_error_before_any_work(self, tmp_path, capsys, monkeypatch, command, kind):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("kept")
+        out, blocker = {"directory": (tmp_path / "out", None),
+                        "no-parent": (tmp_path / "missing" / "out", tmp_path / "missing"),
+                        "under-file": (a_file / "out", a_file),
+                        "file": (a_file, a_file),
+                        "holds-a-directory": (tmp_path / "run", None)}[kind]
+        if kind == "directory":
+            out.mkdir()
+        if kind == "holds-a-directory":
+            (out / "metrics.csv").mkdir(parents=True)
+        inputs = reader_inputs(tmp_path, out)
+        for name in FIRST_WORK[command]:
+            monkeypatch.setattr(cfgexec.cli, name, lambda *a, name=name, **k: pytest.fail(name))
+        capsys.readouterr()
+        code = main([arg.format(**inputs) for arg in READERS[command]])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_DATA
+        if blocker is None:
+            written = out / "metrics.csv" if command == "train" else out
+            assert err == [f"data error: output {written} is a directory"]
+        else:
+            assert err == [f"data error: output {out}: {blocker} is not a directory"]
+        assert a_file.read_text() == "kept"
+        assert not (tmp_path / "missing").exists()
+
+    def test_dump_solver_into_a_directory(self, tmp_path, capsys):
+        base, data = init_checkpoint(tmp_path)
+        traces, solver_csv = tmp_path / "traces.json", tmp_path / "solver"
+        solver_csv.mkdir()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(base), "--data", str(data),
+                     "--dump-traces", str(traces), "--dump-solver", str(solver_csv)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: output {solver_csv} is a directory"]
         assert not traces.exists()
 
 

@@ -169,8 +169,7 @@ class TestGroupMatchesSingles:
         {"phi": "relu"},
         {"phi": "sigmoid"},
         {"precision": "f64"},
-        {"pool": "max"},
-    ], ids=["recv-tanh", "send", "relu", "sigmoid", "f64", "max-pool"])
+    ], ids=["recv-tanh", "send", "relu", "sigmoid", "f64"])
     def test_forward_and_backward(self, overrides):
         cfg = TrainConfig(seed=0, tau=64.0, h=16, **overrides)
         bundles = one_shape(cfg)[:5]

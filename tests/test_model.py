@@ -96,7 +96,7 @@ class TestForward:
         stars = []
         for _ in range(10):
             x0 = rng.normal(size=cache.x_star.shape)
-            res = anderson(step, x0, cfg.solver, tol=1e-12)
+            res = anderson(step, x0, replace(cfg.solver, tol=1e-12))
             assert res.converged
             stars.append(res.x_star)
         spread = max(float(np.abs(s - stars[0]).max()) for s in stars)
@@ -105,7 +105,7 @@ class TestForward:
     def test_anderson_naive_agree_on_joint_update(self):
         cfg, graph, bundle, store = tiny_setup(3)
         _, cache = forward(bundle, store, cfg, mode="eval", seed=9)
-        a = anderson(cache.step, cache.step.u.copy(), cfg.solver, tol=1e-11)
+        a = anderson(cache.step, cache.step.u.copy(), replace(cfg.solver, tol=1e-11))
         n = naive_iterate(cache.step, cache.step.u.copy(), 3000, 1e-11)
         assert a.converged and n.converged
         assert float(np.abs(a.x_star - n.x_star).max()) < 1e-5

@@ -166,26 +166,17 @@ class TestPool:
     def test_avg_respects_mask(self):
         x = np.arange(12.0).reshape(1, 4, 3)
         mask = np.array([[True, False, False, False]])
-        out, _ = time_pool(x, "avg", mask)
+        out, _ = time_pool(x, mask)
         np.testing.assert_array_equal(out, x[:, 0, :])
-
-    def test_max_pool(self):
-        x = np.array([[[1.0, 5.0], [3.0, 2.0], [9.0, 9.0]]])
-        mask = np.array([[True, True, False]])
-        out, cache = time_pool(x, "max", mask)
-        np.testing.assert_array_equal(out, [[3.0, 5.0]])
-        dx = time_pool_backward(np.array([[1.0, 1.0]]), cache)
-        np.testing.assert_array_equal(dx[0, :, 0], [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(dx[0, :, 1], [1.0, 0.0, 0.0])
 
     def test_all_pad_node_rejected(self):
         with pytest.raises(NumericError):
-            time_pool(np.zeros((1, 2, 3)), "avg", np.zeros((1, 2), dtype=bool))
+            time_pool(np.zeros((1, 2, 3)), np.zeros((1, 2), dtype=bool))
 
     def test_avg_backward_distributes(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4))
         mask = np.array([[True, True, False], [True, True, True]])
-        _, cache = time_pool(x, "avg", mask)
+        _, cache = time_pool(x, mask)
         dx = time_pool_backward(np.ones((2, 4)), cache)
         np.testing.assert_allclose(dx[0, 0], 0.5)
         np.testing.assert_allclose(dx[0, 2], 0.0)

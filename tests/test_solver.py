@@ -59,14 +59,14 @@ class TestAnderson:
     def test_m1_reduces_to_naive_exactly(self):
         f = lambda x: np.cos(x) * 0.9 + 0.1 * x
         x0 = np.array([0.3])
-        a = anderson(f, x0, SolverConfig(m=1, max_iter=40), tol=1e-9)
+        a = anderson(f, x0, SolverConfig(m=1, max_iter=40, tol=1e-9))
         n = naive_iterate(f, x0, 40, 1e-9)
         assert a.residuals == n.residuals
         np.testing.assert_array_equal(a.x_star, n.x_star)
 
     def test_cosine_at_least_twice_as_fast(self):
         x0 = np.array([0.0])
-        a = anderson(np.cos, x0, SolverConfig(max_iter=200), tol=1e-10)
+        a = anderson(np.cos, x0, SolverConfig(max_iter=200, tol=1e-10))
         n = naive_iterate(np.cos, x0, 200, 1e-10)
         assert a.converged and n.converged
         assert a.x_star[0] == pytest.approx(COS_FIXED_POINT, abs=1e-8)
@@ -79,14 +79,14 @@ class TestAnderson:
         b = rng.normal(size=8)
         f = lambda x: m @ x + b
         x0 = np.zeros(8)
-        a = anderson(f, x0, SolverConfig(max_iter=100), tol=1e-10)
+        a = anderson(f, x0, SolverConfig(max_iter=100, tol=1e-10))
         n = naive_iterate(f, x0, 500, 1e-10)
         assert a.converged and n.converged
         assert np.abs(a.x_star - n.x_star).max() < 1e-6
 
     def test_shape_preserved(self):
         f = lambda x: 0.5 * x
-        res = anderson(f, np.ones((3, 4)), SolverConfig(max_iter=80), tol=1e-9)
+        res = anderson(f, np.ones((3, 4)), SolverConfig(max_iter=80, tol=1e-9))
         assert res.x_star.shape == (3, 4)
         assert res.converged
 
@@ -97,7 +97,7 @@ class TestAnderson:
             m *= rng.uniform(0.3, 0.8) / np.abs(np.linalg.eigvals(m)).max()
             b = rng.normal(size=5)
             f = lambda x, m=m, b=b: np.tanh(m @ x + b)
-            a = anderson(f, np.zeros(5), SolverConfig(max_iter=200), tol=1e-11)
+            a = anderson(f, np.zeros(5), SolverConfig(max_iter=200, tol=1e-11))
             n = naive_iterate(f, np.zeros(5), 2000, 1e-11)
             assert a.converged and n.converged
             assert np.abs(a.x_star - n.x_star).max() < 1e-5

@@ -1,5 +1,7 @@
 """Optimizer, projection discipline, checkpointing, and training determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestConfigValidation:
         ("tau", 0.0), ("tau", -1.0), ("tau", float("nan")),
         ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1),
         ("h", 0), ("v_max", 0), ("kappa", 0.0), ("kappa", 1.0),
-        ("agent_mode", "greedy"), ("phi", "gelu"), ("pool", "sum"),
+        ("agent_mode", "greedy"), ("phi", "gelu"),
         ("gate_axis", "both"), ("precision", "f16"),
     ])
     def test_model_field_rejected(self, field, value):
@@ -68,9 +70,9 @@ class TestConfigValidation:
             SolverConfig(max_iter=0)
 
     def test_accepted_values(self):
-        for mode, phi, pool, axis, precision in (("hard", "relu", "max", "send", "f64"),
-                                                 ("soft", "sigmoid", "avg", "recv", "f32")):
-            TrainConfig(agent_mode=mode, phi=phi, pool=pool, gate_axis=axis,
+        for mode, phi, axis, precision in (("hard", "relu", "send", "f64"),
+                                           ("soft", "sigmoid", "recv", "f32")):
+            TrainConfig(agent_mode=mode, phi=phi, gate_axis=axis,
                         precision=precision, dropout=0.0, h=1, v_max=1, epochs=0)
 
 
@@ -211,6 +213,21 @@ class TestCheckpoint:
             np.testing.assert_array_equal(adam2.m[k], adam.m[k])
 
     def test_resume_bit_identical_to_uninterrupted(self, tmp_path):
+        self.resume_matches_uninterrupted(tmp_path)
+
+    def test_earlier_manifest_resumes_bit_identical(self, tmp_path):
+        # the keys an earlier version wrote for the values this one fixes:
+        # max pooling, Adam's constants and the Anderson ridge were settable
+        def as_written_before(manifest):
+            doc = json.loads(manifest.read_text())
+            doc["config"].update(pool="avg", beta1=0.9, beta2=0.999, adam_eps=1e-08)
+            doc["config"]["solver"].update(ridge=1e-08)
+            manifest.write_text(json.dumps(doc, indent=1))
+
+        self.resume_matches_uninterrupted(tmp_path, as_written_before)
+
+    @staticmethod
+    def resume_matches_uninterrupted(tmp_path, edit_manifest=None):
         ds = small_dataset(12, seed=5)
         cfg = small_config(epochs=4)
         full = train(ds[:9], cfg, ds[9:], vocab_size=16)
@@ -218,7 +235,10 @@ class TestCheckpoint:
         cfg_half = small_config(epochs=2)
         half = train(ds[:9], cfg_half, ds[9:], vocab_size=16)
         save_checkpoint(tmp_path / "mid", half.store, cfg_half, half.adam, epoch=2)
-        store2, _cfg, adam2, epoch = load_checkpoint(tmp_path / "mid")
+        if edit_manifest is not None:
+            edit_manifest(tmp_path / "mid.json")
+        store2, cfg2, adam2, epoch = load_checkpoint(tmp_path / "mid")
+        assert cfg2 == cfg_half
         resumed = train(ds[:9], cfg, ds[9:], store=store2, adam=adam2,
                         start_epoch=epoch, vocab_size=16)
         for k in full.store.params:
