@@ -41,7 +41,6 @@ REGISTERS = set(
 )
 OPERAND_KEYWORDS = {"byte", "word", "dword", "qword", "xmmword", "ymmword", "ptr",
                     "short", "near", "far", "offset"}
-_NUMBER_RE = re.compile(r"^[+-]?(0x[0-9a-f]+|\d+)h?$", re.IGNORECASE)
 _TOKEN_RE = re.compile(r"[A-Za-z_.$@][\w.$@]*|0x[0-9A-Fa-f]+|\d+|\S")
 _LABEL_RE = re.compile(r"^([A-Za-z_.$@][\w.$@]*):")
 
@@ -262,8 +261,6 @@ def _build_cfg(fn: AsmFunction) -> ParsedFunction:
 def _classify_word(word: str) -> str:
     low = word.lower()
     if low in REGISTERS or low in OPERAND_KEYWORDS:
-        return word
-    if _NUMBER_RE.match(word):
         return word
     return SYM_TOKEN
 

@@ -18,26 +18,17 @@ from .graphs import CfgGraph
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     GraphBundle,
-    bce_grad,
     bce_with_logit,
     derive_seed,
+    encoder_tail,
+    encoder_tail_backward,
+    head,
+    head_backward,
     init_model_params,
     prepare_graph,
 )
-from .nn import (
-    ACTIVATIONS,
-    ParamStore,
-    bigru_backward,
-    bigru_forward,
-    dropout_mask,
-    embed,
-    embed_backward,
-    layer_norm,
-    layer_norm_backward,
-    sigmoid,
-    time_pool,
-    time_pool_backward,
-)
+from .nn import (ACTIVATIONS, ParamStore, bigru_backward, bigru_forward, embed, embed_backward,
+                 sigmoid)
 from . import training
 from .training import AdamState, EpochRecord, TrainConfig
 
@@ -58,21 +49,14 @@ def gcn_forward_backward(bundle: GraphBundle, store: ParamStore, config: TrainCo
                          label: int | None) -> tuple[float, float | None, dict | None]:
     """One GCN pass; returns (logit, loss, grads). Grads only when label given.
 
-    Layer update: X_{l+1} = phi(A_hat^T X_l W_l) with X_0 the pooled encoder
-    output; then the usual layer-normalized mean pooling and linear head.
+    Layer update: X_{l+1} = phi(A_hat^T X_l W_l) with X_0 the encoder's block
+    states; the encoder and the head are the equilibrium model's.
     """
     p = store.params
     act, dact = ACTIVATIONS[config.phi]
     x_emb = embed(bundle.ids, p["emb"])
     h_seq, gru_cache = bigru_forward(x_emb, p, bundle.mask)
-    u0, pool_cache = time_pool(h_seq, bundle.mask)
-    keep = None
-    if mode == "train" and config.dropout > 0.0:
-        keep = dropout_mask(u0.shape, config.dropout,
-                            np.random.default_rng(derive_seed(seed, "dropout")), config.dtype)
-        x = u0 * keep
-    else:
-        x = u0
+    x, pool_cache, keep = encoder_tail(h_seq, bundle.mask, config, mode, [seed])
     layer_in: list[np.ndarray] = []
     layer_pre: list[np.ndarray] = []
     for layer in range(layers):
@@ -80,24 +64,16 @@ def gcn_forward_backward(bundle: GraphBundle, store: ParamStore, config: TrainCo
         pre = (bundle.a_hat.T @ x) @ p[f"gcn_W{layer}"]
         layer_pre.append(pre)
         x = act(pre)
-    pooled = x.mean(axis=0)
-    g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])
-    logit = float(p["wp"] @ g_vec)
+    head_cache = head(x, p)
+    logit = float(head_cache.logits)
     if label is None:
         return logit, None, None
-    loss = bce_with_logit(logit, label)
-    dlogit = bce_grad(logit, label)
-    grads: dict[str, np.ndarray] = {"wp": (dlogit * g_vec).astype(p["wp"].dtype)}
-    dg = (dlogit * p["wp"]).astype(g_vec.dtype)
-    dpool, grads["ln_g"], grads["ln_b"] = layer_norm_backward(dg, ln_cache)
-    dx = np.repeat((dpool / bundle.n)[None, :], bundle.n, axis=0)
+    (loss,), grads, dx = head_backward(head_cache, [label], p)
     for layer in reversed(range(layers)):
         dpre = dx * dact(act(layer_pre[layer]), layer_pre[layer])
         grads[f"gcn_W{layer}"] = (bundle.a_hat.T @ layer_in[layer]).T @ dpre
         dx = bundle.a_hat @ (dpre @ p[f"gcn_W{layer}"].T)
-    if keep is not None:
-        dx = dx * keep
-    d_hseq = time_pool_backward(dx, pool_cache)
+    d_hseq = encoder_tail_backward(dx, pool_cache, keep)
     d_emb_in, enc_grads = bigru_backward(d_hseq, gru_cache, p)
     grads.update(enc_grads)
     grads["emb"] = embed_backward(bundle.ids, d_emb_in, p["emb"].shape[0])
@@ -127,7 +103,7 @@ class _GcnSteps:
                                      b.label) for b in window)
 
     def step(self, members: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        training.adam_step(self.store, grads, self.config, self.adam, lambda_pf_max=0.0)
+        training.adam_step(self.store, grads, self.config, self.adam)
 
     def eval_pass(self, bundles: Sequence[GraphBundle]) -> tuple[float, MetricsReport, list]:
         scores, labels, losses = [], [], []

@@ -159,6 +159,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     store, config, _adam, _epoch = load_checkpoint(args.checkpoint)
     dataset = read_graph_file(args.data)
+    if not dataset:
+        raise GraphValidationError("empty-dataset", f"{args.data} holds no graphs")
     bundles = [prepare_graph(g, config) for g in dataset]
     # ids the embedding has no row for are bad input, checked here once, not per forward
     vocab_size = store.params["emb"].shape[0]
@@ -204,8 +206,12 @@ def _dump_solver(caches, path: Path) -> None:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     # the difference quotient divides solver error by eps, so solve far below
     # the default f64 tolerance, as the acceptance gradient check does
-    config = TrainConfig(h=args.h, precision="f64", dropout=0.0, tau=1.0,
-                         solver=SolverConfig(max_iter=200, tol=1e-12))
+    try:
+        config = TrainConfig(h=args.h, precision="f64", dropout=0.0, tau=1.0,
+                             solver=SolverConfig(max_iter=200, tol=1e-12))
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     spec = SyntheticSpec(n_graphs=2, node_count_range=(3, 4), chain_length=2,
                          vuln_token_id=8, vocab_size=12, seed=args.seed,
                          tokens_per_block=2, exclusive_branching=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,6 +239,66 @@ def _on_items(size: int, make: Callable[[slice | list[int]], Callable]) -> Calla
     return f
 
 
+# The encoder tail and the head take one graph's arrays or a stacked group's.
+
+
+def encoder_tail(h_seq: np.ndarray, mask: np.ndarray, config: ModelConfig, mode: str,
+                 seeds: Sequence[int]) -> tuple[np.ndarray, PoolCache, np.ndarray | None]:
+    """Block states from the BiGRU's token states: the mean over each block's
+    real tokens, then, in train mode, dropout with each graph's mask drawn
+    from its seed. Returns (states, pool cache, keep mask or None)."""
+    u, pool = time_pool(h_seq, mask)
+    if mode != "train" or config.dropout == 0.0:
+        return u, pool, None
+    keeps = [dropout_mask(u.shape[-2:], config.dropout,
+                          np.random.default_rng(derive_seed(seed, "dropout")), config.dtype)
+             for seed in seeds]
+    keep = keeps[0] if u.ndim == 2 else _stack(keeps)
+    return u * keep, pool, keep
+
+
+def encoder_tail_backward(d_u: np.ndarray, pool: PoolCache,
+                          keep: np.ndarray | None) -> np.ndarray:
+    """The cotangent of the BiGRU's token states from that of the block states."""
+    if keep is not None:
+        d_u = d_u * keep
+    return time_pool_backward(d_u, pool)
+
+
+@dataclass
+class HeadCache:
+    logits: np.ndarray  # one per graph: 0-d for one graph's head, (G,) for a group's
+    g_vec: np.ndarray
+    ln: LayerNormCache
+    n: int
+
+
+def head(x: np.ndarray, p: Mapping[str, np.ndarray]) -> HeadCache:
+    """The prediction head over node states: mean pooling, layer norm and the
+    linear read-out. The logits are in the returned cache."""
+    # one pooled row per graph, so the layer-norm gradients stay per graph
+    pooled = x.mean(axis=-2, keepdims=True)
+    g_vec, ln = layer_norm(pooled, p["ln_g"], p["ln_b"])
+    # np.vecdot, not a (G, h) @ (h,) product, which BLAS sums in another order
+    return HeadCache(np.vecdot(g_vec[..., 0, :], p["wp"]), g_vec, ln, x.shape[-2])
+
+
+def head_backward(cache: HeadCache, labels: Sequence[int], p: Mapping[str, np.ndarray],
+                  ) -> tuple[list[float], dict[str, np.ndarray], np.ndarray]:
+    """Binary cross entropy against one label per graph; returns (losses, the
+    head's gradients per graph, the cotangent of the node states)."""
+    logits = np.ravel(cache.logits).tolist()
+    losses = [bce_with_logit(logit, y) for logit, y in zip(logits, labels)]
+    # a Python float times an f32 array is an f32 product, so the per-graph
+    # factors are cast to the array's dtype first
+    dlogit = np.array([bce_grad(logit, y) for logit, y in zip(logits, labels)],
+                      dtype=cache.g_vec.dtype).reshape(*cache.logits.shape, 1, 1)
+    grads = {"wp": (dlogit * cache.g_vec).astype(p["wp"].dtype)[..., 0, :]}
+    dg = (dlogit * p["wp"]).astype(cache.g_vec.dtype)
+    dpool, grads["ln_g"], grads["ln_b"] = layer_norm_backward(dg, cache.ln)
+    return losses, grads, np.repeat(dpool / cache.n, cache.n, axis=-2)
+
+
 @dataclass
 class GroupCache:
     """Everything the backward pass needs for a group of graphs of one shape,
@@ -260,9 +320,7 @@ class GroupCache:
     keep: np.ndarray | None
     step: JointStep
     solve: StackResult
-    ln: LayerNormCache
-    g_vec: np.ndarray
-    logits: list[float]
+    head: HeadCache
     terminations: list[str]
     selected: list[list[int]]  # argmax z at each solver iterate; empty unless keep_trace
 
@@ -283,9 +341,8 @@ class GroupCache:
 
     def retained_floats(self) -> int:
         """Retained-activation accounting used by the memory-contract check."""
-        total = 0
-        for c in self.gru.fwd + self.gru.bwd:
-            total += c.x.size + c.h_prev.size + c.r.size + c.u.size + c.c.size + c.mask.size
+        total = self.gru.xs.size + self.gru.ms.size
+        total += sum(a.size for step in self.gru.steps for a in step)
         total += self.gru.concat.size + self.gru.mask.size
         total += self.pool.mask.size + self.pool.lengths.size
         if self.keep is not None:
@@ -294,8 +351,8 @@ class GroupCache:
         total += sc.x.size + sc.s.size + sc.z.size + sc.a.size + sc.q.size + sc.x_next.size
         total += self.step.u.size + self.step.inj.size + self.step.inj_grad.size
         total += self.step.noise.size
-        total += self.x_star.size + self.g_vec.size
-        total += self.ln.x_hat.size + self.ln.inv_std.size
+        total += self.x_star.size + self.head.g_vec.size
+        total += self.head.ln.x_hat.size + self.head.ln.inv_std.size
         total += sum(len(r.residuals) for r in self.solve.results)
         total += sum(len(sel) for sel in self.selected)
         return total
@@ -395,9 +452,8 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
     if len({b.ids.shape for b in bundles}) != 1:
         raise ValueError("a group needs at least one bundle, all of one ids shape")
     p = store.params
-    dtype = config.dtype
     noise = _stack([np.random.default_rng(derive_seed(seed, "gumbel")).gumbel(
-        size=b.n).astype(dtype) for b, seed in zip(bundles, seeds)])
+        size=b.n).astype(config.dtype) for b, seed in zip(bundles, seeds)])
     if reuse is not None:
         if (mode != "eval" or reuse.mode != "eval" or len(reuse.bundles) != len(bundles)
                 or any(a is not b for a, b in zip(reuse.bundles, bundles))):
@@ -408,15 +464,7 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         ids, mask = _stack([b.ids for b in bundles]), _stack([b.mask for b in bundles])
         x_emb = embed(ids, p["emb"])
         h_seq, gru_cache = bigru_forward(x_emb, p, mask)
-        u0, pool_cache = time_pool(h_seq, mask)
-        keep = None
-        if mode == "train" and config.dropout > 0.0:
-            keep = _stack([dropout_mask(u0.shape[1:], config.dropout,
-                                        np.random.default_rng(derive_seed(seed, "dropout")),
-                                        dtype) for seed in seeds])
-            u = u0 * keep
-        else:
-            u = u0
+        u, pool_cache, keep = encoder_tail(h_seq, mask, config, mode, seeds)
         ensure_finite("encoder output", u)
         # the weights are copied: the optimizer updates the store's arrays in
         # place, and the cache linearizes with them on first read
@@ -443,17 +491,12 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
     if not keep_trace:
         for r in solve.results:
             del r.residuals[:-1]
-    x_star = ensure_finite("equilibrium", solve.x_star)
-    # one pooled row per graph, so the layer-norm gradients stay per graph
-    pooled = x_star.mean(axis=-2, keepdims=True)
-    g_vec, ln_cache = layer_norm(pooled, p["ln_g"], p["ln_b"])
-    # np.vecdot, not a (G, h) @ (h,) product, which BLAS sums in another order
-    logits = np.vecdot(g_vec[:, 0], p["wp"]).tolist()
+    head_cache = head(ensure_finite("equilibrium", solve.x_star), p)
     terminations = ["equilibrium" if r.converged else (r.stop_reason or "max-steps")
                     for r in solve.results]
     cache = GroupCache(
         bundles=bundles, config=config, mode=mode, ids=ids, gru=gru_cache, pool=pool_cache,
-        keep=keep, step=step, solve=solve, ln=ln_cache, g_vec=g_vec, logits=logits,
+        keep=keep, step=step, solve=solve, head=head_cache,
         terminations=terminations, selected=selected,
     )
     if keep_trace:
@@ -461,7 +504,7 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         for sel, r, z in zip(selected, solve.results, cache.step_cache.z):
             if r.converged:
                 sel.append(int(np.argmax(z)))
-    return logits, cache
+    return head_cache.logits.tolist(), cache
 
 
 def bce_with_logit(logit: float, label: int) -> float:
@@ -515,27 +558,10 @@ def _backward_group(cache: GroupCache, store: ParamStore,
     if len(labels) != len(cache.bundles):
         raise ValueError(f"{len(cache.bundles)} graphs need as many labels, got {len(labels)}")
     p = store.params
-    n = cache.bundles[0].n
-    losses = [bce_with_logit(logit, y) for logit, y in zip(cache.logits, labels)]
-    # a Python float times an f32 array is an f32 product, so the per-graph
-    # factors are cast to the array's dtype first
-    dlogit = np.array([bce_grad(logit, y) for logit, y in zip(cache.logits, labels)],
-                      dtype=cache.g_vec.dtype)[:, None, None]
-    grads: dict[str, np.ndarray] = {
-        "wp": (dlogit * cache.g_vec).astype(p["wp"].dtype)[:, 0],
-    }
-    dg = (dlogit * p["wp"]).astype(cache.g_vec.dtype)
-    dpool, grads["ln_g"], grads["ln_b"] = layer_norm_backward(dg, cache.ln)
-    dxstar = np.repeat(dpool / n, n, axis=-2)
+    losses, grads, dxstar = head_backward(cache.head, labels, p)
     adj = implicit_backward(cache, dxstar, store)
-    grads["W"] = adj["W"]
-    grads["Om"] = adj["Om"]
-    grads["cb"] = adj["cb"]
-    grads["ws"] = adj["ws"]
-    d_u = adj["U"]
-    if cache.keep is not None:
-        d_u = d_u * cache.keep
-    d_hseq = time_pool_backward(d_u, cache.pool)
+    grads.update({name: adj[name] for name in ("W", "Om", "cb", "ws")})
+    d_hseq = encoder_tail_backward(adj["U"], cache.pool, cache.keep)
     d_emb_in, enc_grads = bigru_backward(d_hseq, cache.gru, p)
     grads.update(enc_grads)
     grads["emb"] = embed_backward(cache.ids, d_emb_in, p["emb"].shape[0])

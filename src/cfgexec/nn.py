@@ -192,16 +192,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
 # gate's (n, h) @ (h, h) product of one graph and direction.
 
 
-@dataclass
-class GruStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    r: np.ndarray
-    u: np.ndarray
-    c: np.ndarray
-    mask: np.ndarray
-
-
 # parameter name suffixes, in the order gru_direction_backward unpacks them
 _GRU_KEYS = ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wc", "Uc", "bc")
 
@@ -248,45 +238,45 @@ def gru_cell(x: np.ndarray, h_prev: np.ndarray, p: Mapping[str, np.ndarray],
     return tuple(a[0] for a in _gru_step(x[None], h_prev[None], *weights))
 
 
-def gru_direction_backward(d_out: np.ndarray, caches: list[GruStepCache],
-                           p: Mapping[str, np.ndarray], prefix: str,
-                           reverse: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """BPTT for one direction; returns (dx, parameter grads), the grads per
-    stacked graph."""
+def gru_direction_backward(d_out: np.ndarray, cache: BiGruCache, d: int,
+                           p: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """BPTT for direction d of the cache (0 forward, 1 backward); returns (dx,
+    parameter grads), the grads per stacked graph."""
     *lead, n, v, _ = d_out.shape
-    names = _gru_names(prefix)
+    names = _gru_names(("gruf", "grub")[d])
     grads = {name: np.zeros((*lead, *p[name].shape), dtype=p[name].dtype) for name in names}
     g_wr, g_ur, g_br, g_wu, g_uu, g_bu, g_wc, g_uc, g_bc = (grads[name] for name in names)
     wr_t, ur_t, _, wu_t, uu_t, _, wc_t, uc_t, _ = (p[name].T for name in names)
-    dx = np.zeros((*lead, n, v, caches[0].x.shape[-1]), dtype=d_out.dtype)
+    xs, ms = cache.xs[d], cache.ms[d]
+    dx = np.zeros((*lead, n, v, xs.shape[-1]), dtype=d_out.dtype)
     dh_carry = np.zeros((*lead, n, ur_t.shape[1]), dtype=d_out.dtype)
-    steps = range(v - 1, -1, -1) if reverse else range(v)
-    for idx, t in reversed(list(enumerate(steps))):
-        cch = caches[idx]
-        m = cch.mask
+    for s in reversed(range(v)):
+        t = v - 1 - s if d else s  # the token position direction d reads at step s
+        h_prev, r, u, c = (a[d] for a in cache.steps[s])
+        m = ms[..., s, :]
         dh_new = (d_out[..., t, :] + dh_carry) * m
         dh_prev = dh_carry * (1.0 - m)
-        du = dh_new * (cch.c - cch.h_prev)
-        dc = dh_new * cch.u
-        one_minus_u = 1.0 - cch.u
+        du = dh_new * (c - h_prev)
+        dc = dh_new * u
+        one_minus_u = 1.0 - u
         dh_prev_cell = dh_new * one_minus_u
-        dpre_c = dc * (1.0 - cch.c * cch.c)
-        x_t = cch.x.swapaxes(-1, -2)
-        h_prev_t = cch.h_prev.swapaxes(-1, -2)
+        dpre_c = dc * (1.0 - c * c)
+        x_t = xs[..., s, :].swapaxes(-1, -2)
+        h_prev_t = h_prev.swapaxes(-1, -2)
         g_wc += x_t @ dpre_c
-        g_uc += (cch.r * cch.h_prev).swapaxes(-1, -2) @ dpre_c
+        g_uc += (r * h_prev).swapaxes(-1, -2) @ dpre_c
         g_bc += dpre_c.sum(axis=-2)
         drh = dpre_c @ uc_t
-        dr = drh * cch.h_prev
-        dh_prev_cell = dh_prev_cell + drh * cch.r
+        dr = drh * h_prev
+        dh_prev_cell = dh_prev_cell + drh * r
         dxt = dpre_c @ wc_t
-        dpre_u = du * cch.u * one_minus_u
+        dpre_u = du * u * one_minus_u
         g_wu += x_t @ dpre_u
         g_uu += h_prev_t @ dpre_u
         g_bu += dpre_u.sum(axis=-2)
         dxt += dpre_u @ wu_t
         dh_prev_cell = dh_prev_cell + dpre_u @ uu_t
-        dpre_r = dr * cch.r * (1.0 - cch.r)
+        dpre_r = dr * r * (1.0 - r)
         g_wr += x_t @ dpre_r
         g_ur += h_prev_t @ dpre_r
         g_br += dpre_r.sum(axis=-2)
@@ -302,27 +292,13 @@ class BiGruCache:
     """What the BiGRU backward reads. `xs`, `ms` and each entry of `steps`
     stack the two directions on a leading axis, each in its own step order:
     the inputs, the masks (a trailing axis of one) and each step's
-    (h_prev, r, u, c). The per-direction step caches `fwd` and `bwd` are
-    views into them, built on first read, so scoring never builds them."""
+    (h_prev, r, u, c)."""
 
     xs: np.ndarray
     ms: np.ndarray
     steps: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     concat: np.ndarray
     mask: np.ndarray
-
-    def _direction(self, d: int) -> list[GruStepCache]:
-        return [GruStepCache(self.xs[d, ..., s, :], h_prev[d], r[d], u[d], c[d],
-                             self.ms[d, ..., s, :])
-                for s, (h_prev, r, u, c) in enumerate(self.steps)]
-
-    @functools.cached_property
-    def fwd(self) -> list[GruStepCache]:
-        return self._direction(0)
-
-    @functools.cached_property
-    def bwd(self) -> list[GruStepCache]:
-        return self._direction(1)
 
 
 def bigru_forward(x: np.ndarray, params: Mapping[str, np.ndarray],
@@ -376,8 +352,8 @@ def bigru_backward(d_out: np.ndarray, cache: BiGruCache,
     d_concat = d_mixed @ params["mix_W"].T
     d_f = d_concat[..., : d_concat.shape[-1] // 2]
     d_b = d_concat[..., d_concat.shape[-1] // 2 :]
-    dx, g_f = gru_direction_backward(d_f, cache.fwd, params, "gruf", reverse=False)
-    dx_b, g_b = gru_direction_backward(d_b, cache.bwd, params, "grub", reverse=True)
+    dx, g_f = gru_direction_backward(d_f, cache, 0, params)
+    dx_b, g_b = gru_direction_backward(d_b, cache, 1, params)
     dx += dx_b
     grads.update(g_f)
     grads.update(g_b)

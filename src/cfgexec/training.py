@@ -1,6 +1,6 @@
 """Training: the epoch loop that the equilibrium model and the GCN baseline
-both run, Adam with the well-posedness projection after every step, per-epoch
-metrics logging, and bit-exact checkpointing.
+both run, Adam (followed by the equilibrium model's well-posedness projection),
+per-epoch metrics logging, and bit-exact checkpointing.
 
 Graphs in a batch are processed independently and their gradients averaged,
 summed in batch order; graphs of one shape within a short window of the batch
@@ -63,6 +63,8 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         for name in ("lr", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -100,14 +102,9 @@ class AdamState:
 
 
 def adam_step(store: ParamStore, grads: Mapping[str, np.ndarray], config: TrainConfig,
-              state: AdamState, lambda_pf_max: float) -> None:
-    """Bias-corrected Adam update, then project W back into the well-posed set.
-
-    lambda_pf_max bounds the Perron-Frobenius eigenvalue of every gated
-    adjacency the updated W will be applied to; the projection keeps
-    ||W||_inf <= kappa / lambda_pf_max so every graph's transition stays a
-    contraction.
-    """
+              state: AdamState) -> None:
+    """Bias-corrected Adam update of every parameter; the frozen pad embedding
+    row stays zero."""
     state.t += 1
     b1c = 1.0 - ADAM_BETA1 ** state.t
     b2c = 1.0 - ADAM_BETA2 ** state.t
@@ -121,8 +118,6 @@ def adam_step(store: ParamStore, grads: Mapping[str, np.ndarray], config: TrainC
     frozen = store.frozen.get("emb")
     if frozen is not None:
         store.params["emb"][frozen] = 0.0
-    if "W" in store.params:
-        store.params["W"] = project_wellposed(store.params["W"], lambda_pf_max, config.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +340,12 @@ GROUP_WINDOW = 20
 
 def check_inputs(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
                  vocab_size: int | None) -> int:
-    """Both models' input checks: a non-empty training set and a label on every
-    graph. Returns vocab_size, or one past the largest token id when it is None."""
+    """Both models' input checks: non-empty training and eval sets and a label on
+    every graph. Returns vocab_size, or one past the largest token id when it is None."""
     if not dataset:
         raise GraphValidationError("empty-dataset", "no training graphs")
+    if not eval_dataset:
+        raise GraphValidationError("empty-dataset", "no eval graphs")
     graphs = [*dataset, *eval_dataset]
     for g in graphs:
         if g.label is None:
@@ -450,7 +447,9 @@ class _EquilibriumSteps:
         # lags the draws it summarizes and the per-draw estimates are
         # coarse, so neither can.
         lambda_bound = max(self.lambda_hat[i] for i in members)
-        adam_step(self.store, grads, self.config, self.adam, max(lambda_ref, lambda_bound))
+        adam_step(self.store, grads, self.config, self.adam)
+        self.store.params["W"] = project_wellposed(
+            self.store.params["W"], max(lambda_ref, lambda_bound), self.config.kappa)
         w_inf = float(np.abs(self.store.params["W"]).sum(axis=1).max())
         self.max_w_violation = max(self.max_w_violation, w_inf - self.config.kappa / lambda_ref)
 

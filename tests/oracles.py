@@ -19,7 +19,6 @@ from cfgexec.metrics import compute_metrics
 from cfgexec.model import bce_grad, bce_with_logit, derive_seed, prepare_graph
 from cfgexec.nn import (
     BiGruCache,
-    GruStepCache,
     bigru_backward,
     bigru_forward,
     embed,
@@ -201,7 +200,7 @@ def bigru_forward_reference(x: np.ndarray, params, mask: np.ndarray):
             u = sigmoid(xt @ wu + state @ uu + bu)
             c = np.tanh(xt @ wc + (r * state) @ uc + bc)
             h_new = (1.0 - u) * state + u * c
-            direction.append(GruStepCache(xt, state, r, u, c, m))
+            direction.append((xt, m, state, r, u, c))
             kept = m * h_new
             concat[..., t, half] = kept
             state = kept + (1.0 - m) * state
@@ -209,10 +208,9 @@ def bigru_forward_reference(x: np.ndarray, params, mask: np.ndarray):
     mixed = concat @ params["mix_W"] + params["mix_b"]
     mixed = mixed * mask[..., None].astype(x.dtype)
     # the cache stacks the directions' inputs, masks and step values
-    xs, ms = (np.stack([np.stack([getattr(c, name) for c in d], axis=-2) for d in caches])
-              for name in ("x", "mask"))
-    steps = list(zip(*([np.stack((getattr(f, name), getattr(b, name))) for f, b in zip(*caches)]
-                       for name in ("h_prev", "r", "u", "c"))))
+    xs, ms = (np.stack([np.stack([step[k] for step in d], axis=-2) for d in caches])
+              for k in (0, 1))
+    steps = [tuple(np.stack((f[k], b[k])) for k in (2, 3, 4, 5)) for f, b in zip(*caches)]
     return mixed, BiGruCache(xs, ms, steps, concat, mask)
 
 
@@ -401,8 +399,7 @@ def train_gcn_reference(dataset, config, eval_dataset, layers: int = 2,
                 else:
                     for k, v in grads.items():
                         summed[k] += v
-            adam_step(store, {k: v / len(batch) for k, v in summed.items()}, config, adam,
-                      lambda_pf_max=0.0)
+            adam_step(store, {k: v / len(batch) for k, v in summed.items()}, config, adam)
         scores, labels, eval_losses = [], [], []
         for b in eval_bundles:
             logit, _, _ = gcn_forward_backward(b, store, config, layers, "eval",

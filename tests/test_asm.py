@@ -7,6 +7,7 @@ from cfgexec.asm import (
     AsmParseError,
     function_to_graph,
     parse_listing,
+    strip_operands,
     strip_semantics,
     tokenize_instruction,
 )
@@ -140,6 +141,10 @@ class TestStrip:
         pf = parse_one("mov eax, 0x1F\nret\n")
         stripped = strip_semantics(pf.function)
         assert stripped.lines[0].operands == "eax, 0x1F"
+
+    def test_numbers_kept_and_label_replaced(self):
+        assert strip_operands("0x1f, 16, 10h") == "0x1f, 16, 10h"
+        assert strip_operands("loc_401000") == "<sym>"
 
     def test_mixed_operand(self):
         pf = parse_one("mov eax, dword ptr [myvar+4]\nret\n")

@@ -216,6 +216,35 @@ class TestGenerateTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_lr_is_usage_error(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path / "spec.json", n_graphs=4)
+        data = tmp_path / "data.json"
+        main(["generate", "--spec", str(spec), "--out", str(data)])
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                     "--epochs", "1", "--h", "8", "--lr", value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: lr must be finite, got {value}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_of_a_file_with_no_graphs_is_data_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        base, _ = init_checkpoint(tmp_path)
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"format_version": 1, "graphs": []}))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored an empty file")
+
+        monkeypatch.setattr(cfgexec.cli, "evaluate", no_scoring)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(base), "--data", str(empty)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: empty-dataset: {empty} holds no graphs"]
+
     def test_one_graph_file_is_data_error(self, tmp_path, capsys):
         # the 75/25 split of one graph leaves no training graph
         data = tmp_path / "one.json"
@@ -549,6 +578,10 @@ class TestChecks:
         assert main(["gradcheck", "--seed", "7", "--h", "5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "overall max rel err" in out
+
+    def test_gradcheck_h_below_one_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--h", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["usage error: h must be >= 1, got 0"]
 
     def test_solvercheck_passes(self, capsys):
         assert main(["solvercheck"]) == EXIT_OK

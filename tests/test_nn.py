@@ -274,12 +274,13 @@ class TestBiGruMatchesReference:
         want, want_cache = bigru_forward_reference(x, p, mask)
         self.same(got, want)
         self.same(got_cache.concat, want_cache.concat)
-        for got_steps, want_steps in ((got_cache.fwd, want_cache.fwd),
-                                      (got_cache.bwd, want_cache.bwd)):
-            assert len(got_steps) == len(want_steps) == v
-            for g, w in zip(got_steps, want_steps):
-                for name in ("x", "h_prev", "r", "u", "c", "mask"):
-                    self.same(getattr(g, name), getattr(w, name))
+        self.same(got_cache.xs, want_cache.xs)
+        self.same(got_cache.ms, want_cache.ms)
+        assert len(got_cache.steps) == len(want_cache.steps) == v
+        for g, w in zip(got_cache.steps, want_cache.steps):
+            assert len(g) == len(w) == 4  # h_prev, r, u, c
+            for got_arr, want_arr in zip(g, w):
+                self.same(got_arr, want_arr)
         d_out = rng.normal(size=got.shape).astype(dtype)
         dx, grads = bigru_backward(d_out, got_cache, p)
         dx_want, grads_want = bigru_backward(d_out, want_cache, p)

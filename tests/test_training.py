@@ -60,7 +60,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [("epochs", -1), ("eval_noise_seeds", 0)])
+    @pytest.mark.parametrize("field,value", [("epochs", -1), ("eval_noise_seeds", 0),
+                                             ("lr", float("inf")), ("lr", float("nan"))])
     def test_train_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -82,8 +83,7 @@ class TestAdam:
         store = init_model_params(cfg, 16, seed=0)
         before = {k: v.copy() for k, v in store.params.items()}
         adam = AdamState.init(store)
-        adam_step(store, {k: np.zeros_like(v) for k, v in store.params.items()},
-                  cfg, adam, lambda_pf_max=1.0)
+        adam_step(store, {k: np.zeros_like(v) for k, v in store.params.items()}, cfg, adam)
         for k in before:
             np.testing.assert_array_equal(store.params[k], before[k])
 
@@ -94,26 +94,29 @@ class TestAdam:
         grads = {k: np.zeros_like(v) for k, v in store.params.items()}
         grads["wp"] = np.full_like(store.params["wp"], 0.5)
         before = store.params["wp"].copy()
-        adam_step(store, grads, cfg, adam, lambda_pf_max=0.0)
+        adam_step(store, grads, cfg, adam)
         step = before - store.params["wp"]
         np.testing.assert_allclose(step, cfg.lr, rtol=1e-5)
 
     def test_w_projected_after_step(self):
         cfg = small_config()
+        bundles = [prepare_graph(g, cfg) for g in small_dataset(2)]
         store = init_model_params(cfg, 16, seed=0)
         store.params["W"] = np.full((cfg.h, cfg.h), 5.0, dtype=cfg.dtype)
-        adam = AdamState.init(store)
-        adam_step(store, {k: np.zeros_like(v) for k, v in store.params.items()},
-                  cfg, adam, lambda_pf_max=2.0)
+        steps = cfgexec.training._EquilibriumSteps(bundles, store, cfg, AdamState.init(store))
+        steps.gated = [2.0 * b.a_hat for b in bundles]  # gated PF estimates near 2
+        steps.step(np.arange(2), {k: np.zeros_like(v) for k, v in store.params.items()})
+        lam = max(steps.adam.lambda_ref, *steps.lambda_hat)
+        assert lam > 1.9
         w_inf = np.abs(store.params["W"]).sum(axis=1).max()
-        assert w_inf <= cfg.kappa / 2.0 + 1e-8
+        assert w_inf <= cfg.kappa / lam + 1e-8
 
     def test_pad_row_stays_zero(self):
         cfg = small_config()
         store = init_model_params(cfg, 16, seed=0)
         adam = AdamState.init(store)
         grads = {k: np.ones_like(v) for k, v in store.params.items()}
-        adam_step(store, grads, cfg, adam, lambda_pf_max=1.0)
+        adam_step(store, grads, cfg, adam)
         np.testing.assert_array_equal(store.params["emb"][0], 0.0)
 
     def test_lambda_ema_resists_outliers(self):
@@ -129,6 +132,19 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty-dataset"):
             train([], small_config(), [])
+
+    @pytest.mark.parametrize("run", ["train", "train_gcn"])
+    def test_empty_eval_set_rejected_before_training(self, run, monkeypatch):
+        from cfgexec.baseline import train_gcn
+        from cfgexec.graphs import GraphValidationError
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(cfgexec.training, "run_epochs", no_epoch)
+        fit = {"train": train, "train_gcn": train_gcn}[run]
+        with pytest.raises(GraphValidationError, match="empty-dataset: no eval graphs"):
+            fit(small_dataset(8), small_config(), [])
 
     def test_missing_label_rejected(self):
         ds = small_dataset(8)
@@ -311,7 +327,7 @@ class TestLazyLinearization:
         _, cache = forward(bundle, store, cfg, mode=mode, seed=3)
         w_before = store.params["W"].copy()
         _, grads = model_backward(want, store, bundle.label)
-        adam_step(store, grads, cfg, AdamState.init(store), lambda_pf_max=1.0)
+        adam_step(store, grads, cfg, AdamState.init(store))
         assert not np.array_equal(store.params["W"], w_before)
         got_sc = cache.step_cache
         for f in dataclasses.fields(got_sc):
