@@ -8,6 +8,8 @@ Input convention (line-oriented, Intel-flavored):
   - a label that is never the target of a jump starts a new function when it
     appears at the top of the listing or right after a ret/jmp terminator;
     all other labels are local branch targets
+  - a jump's operand may start with `short`, `near` or `near ptr` (as IDA and
+    MASM write them); the label after it is the target
 
 Blocks are maximal instruction runs ending at a control transfer or before a
 labeled target. Unconditional jumps yield one edge, conditional jumps a
@@ -125,7 +127,7 @@ def _jump_targets(rows: Sequence[tuple[int, list[str], str]]) -> set[str]:
         mnem = parts[0].lower()
         if mnem in JMP_MNEMONICS or is_conditional_jump(mnem):
             if len(parts) > 1:
-                targets.add(parts[1].strip())
+                targets.add(_jump_operand(parts[1]))
     return targets
 
 
@@ -173,6 +175,13 @@ def parse_listing(text: str) -> list[ParsedFunction]:
 
 
 _IDENT_RE = re.compile(r"^[A-Za-z_.$@][\w.$@]*$")
+_JUMP_DISTANCE_RE = re.compile(r"^(?:short|near(?:\s+ptr)?)\s+", re.IGNORECASE)
+
+
+def _jump_operand(operands: str) -> str:
+    """A jump's operand without a leading `short`, `near` or `near ptr`, the
+    distance keywords IDA and MASM listings write before a jump's label."""
+    return _JUMP_DISTANCE_RE.sub("", operands.strip(), count=1)
 
 
 def _operand_is_indirect(operand: str) -> bool:
@@ -225,20 +234,22 @@ def _build_cfg(fn: AsmFunction) -> ParsedFunction:
         if m in RET_MNEMONICS:
             continue
         if m in JMP_MNEMONICS:
-            if _operand_is_indirect(last.operands):
+            target = _jump_operand(last.operands)
+            if _operand_is_indirect(target):
                 indirect.add(bi)
                 continue
-            tb = target_block(last.operands.strip(), last)
+            tb = target_block(target, last)
             if tb == bi:
                 indirect.add(bi)  # self-looping block is unrepresentable; flag it
             elif tb != END:
                 edges.add((bi, tb))
             continue
         if is_conditional_jump(m):
-            if _operand_is_indirect(last.operands):
+            target = _jump_operand(last.operands)
+            if _operand_is_indirect(target):
                 indirect.add(bi)
             else:
-                tb = target_block(last.operands.strip(), last)
+                tb = target_block(target, last)
                 if tb != bi and tb != END:
                     edges.add((bi, tb))
             if has_next:

@@ -36,7 +36,7 @@ from .training import (
     train,
     write_metrics_csv,
 )
-from .vocab import VocabError, read_vocab_file, train_vocab, write_vocab_file
+from .vocab import RESERVED, VocabError, read_vocab_file, train_vocab, write_vocab_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,6 +75,10 @@ def _collect_asm_tokens(input_path: Path) -> list[str]:
 
 
 def _cmd_vocab_train(args: argparse.Namespace) -> int:
+    least = len(RESERVED) + 1  # the reserved pieces and one character
+    if args.size < least:
+        print(f"usage error: size must be >= {least}, got {args.size}", file=sys.stderr)
+        return EXIT_USAGE
     tokens = _collect_asm_tokens(Path(args.input))
     if not tokens:
         print(f"data error: no assembly tokens found in {args.input}", file=sys.stderr)

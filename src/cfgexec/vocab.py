@@ -8,7 +8,9 @@ without unknowns.
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,51 +55,81 @@ class Vocab:
 def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     """Greedy pair-merge (BPE-style) vocabulary over whole corpus tokens.
 
-    Pieces start from every character seen in the corpus; merges continue
-    until `target_size` pieces exist (reserved ids included) or no pair
-    repeats. Deterministic: pair ties break lexicographically.
+    Pieces start from every character seen in the corpus. Each merge joins
+    the most frequent adjacent pair of pieces, counted over every token and
+    every position (a pair seen once is merged too); ties break
+    lexicographically. Merges stop at `target_size` pieces (reserved ids
+    included), when no adjacent pair is left, or when the merged string is
+    already a piece, so the result can be smaller than `target_size`.
+
+    The pair counts are kept incrementally, in the style of Sennrich, Haddow
+    and Birch (ACL 2016): an index from each pair to the distinct tokens that
+    hold it lets a merge re-segment only those tokens, and a heap of
+    `(-count, pair)` entries, each checked against the live count when it
+    reaches the top, yields the best pair.
     """
-    tokens: dict[tuple[str, ...], int] = {}
-    for tok in corpus:
-        if not tok:
-            continue
-        key = tuple(tok)
-        tokens[key] = tokens.get(key, 0) + 1
-    charset = sorted({c for key in tokens for c in key})
+    token_counts = Counter(tok for tok in corpus if tok)
+    charset = sorted({c for tok in token_counts for c in tok})
     if target_size < len(charset) + len(RESERVED):
         raise VocabError(
             "target-size-too-small",
             f"need at least {len(charset) + len(RESERVED)} pieces, got {target_size}",
         )
     pieces: list[str] = list(RESERVED) + charset
-    work = dict(tokens)
+    known = set(pieces)
+    freqs = list(token_counts.values())
+    segs = [tuple(tok) for tok in token_counts]  # each distinct token's pieces
+    counts: dict[tuple[str, str], int] = {}
+    holders: dict[tuple[str, str], set[int]] = {}
+    for t, seg in enumerate(segs):
+        for pair in zip(seg, seg[1:]):
+            counts[pair] = counts.get(pair, 0) + freqs[t]
+            holders.setdefault(pair, set()).add(t)
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
     while len(pieces) < target_size:
-        counts: dict[tuple[str, str], int] = {}
-        for key, freq in work.items():
-            for i in range(len(key) - 1):
-                pair = (key[i], key[i + 1])
-                counts[pair] = counts.get(pair, 0) + freq
-        if not counts:
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)  # stale: the pair's count has changed since
+        if not heap:
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        merged = best[0] + best[1]
-        if merged in pieces:
+        left, right = best = heap[0][1]
+        merged = left + right
+        if merged in known:
             break
         pieces.append(merged)
-        new_work: dict[tuple[str, ...], int] = {}
-        for key, freq in work.items():
+        known.add(merged)
+        delta: Counter[tuple[str, str]] = Counter()
+        for t in list(holders[best]):
+            seg, freq = segs[t], freqs[t]
             out: list[str] = []
             i = 0
-            while i < len(key):
-                if i + 1 < len(key) and key[i] == best[0] and key[i + 1] == best[1]:
+            while i < len(seg):
+                if i + 1 < len(seg) and seg[i] == left and seg[i + 1] == right:
                     out.append(merged)
                     i += 2
                 else:
-                    out.append(key[i])
+                    out.append(seg[i])
                     i += 1
-            new_key = tuple(out)
-            new_work[new_key] = new_work.get(new_key, 0) + freq
-        work = new_work
+            new_seg = segs[t] = tuple(out)
+            old_pairs = list(zip(seg, seg[1:]))
+            new_pairs = list(zip(new_seg, new_seg[1:]))
+            for pair in old_pairs:
+                delta[pair] -= freq
+            for pair in new_pairs:
+                delta[pair] += freq
+            for pair in set(old_pairs).difference(new_pairs):
+                holders[pair].discard(t)
+            for pair in set(new_pairs).difference(old_pairs):
+                holders.setdefault(pair, set()).add(t)
+        for pair, change in delta.items():
+            if not change:
+                continue
+            count = counts.get(pair, 0) + change
+            if count:
+                counts[pair] = count
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del counts[pair], holders[pair]
     return Vocab(pieces=tuple(pieces))
 
 

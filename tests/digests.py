@@ -37,7 +37,9 @@ What it hashes:
 - a 2-epoch `train_gcn` run: its eval-loss history, final parameters, best
   accuracy, best AUC and accuracy at the best AUC;
 - a small f64 `train_gcn` run whose 0.02 train-loss stop fires at epoch 109
-  of 300: its eval history (losses and metrics) and final parameters.
+  of 300: its eval history (losses and metrics) and final parameters;
+- the pieces `train_vocab` gives at 64 and at 512 pieces, on a seeded corpus
+  of skewed random tokens plus the stripped tokens of a short listing.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ from pathlib import Path
 
 import numpy as np
 
+from cfgexec.asm import function_tokens, parse_listing, strip_semantics
 from cfgexec.baseline import train_gcn
 from cfgexec.model import forward, init_model_params, prepare_graph
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
 from cfgexec.training import TrainConfig, evaluate, metrics_csv_rows, train
+from cfgexec.vocab import train_vocab
 
 
 def digest(*items) -> str:
@@ -187,8 +191,48 @@ def gcn_early_stop() -> dict[str, str]:
             "gcn early-stop params": params_digest(result.store)}
 
 
+VOCAB_LISTING = """\
+main:
+    push rbp
+    mov rbp, rsp
+    sub rsp, 0x20
+    mov dword ptr [rbp-4], edi
+    cmp dword ptr [rbp-4], 0
+    jle .L2
+    call helper
+    jmp .L3
+.L2:
+    lea rdi, [rip+msg]
+    call puts
+.L3:
+    leave
+    ret
+helper:
+    xor eax, eax
+.L5:
+    add eax, 3
+    movzx ecx, byte ptr [rsi+rax]
+    cmp eax, 0x40
+    jl .L5
+    ret
+"""
+
+
+def vocabulary() -> dict[str, str]:
+    rng = np.random.default_rng(17)
+    alphabet = list("etaoinshrdlcumwfgypbvkjxqz0123456789_")
+    weights = 1.0 / np.arange(1, len(alphabet) + 1)  # Zipf-like: a few letters dominate
+    corpus = ["".join(rng.choice(alphabet, size=int(rng.integers(1, 11)),
+                                 p=weights / weights.sum()))
+              for _ in range(2000)]
+    for parsed in parse_listing(VOCAB_LISTING):
+        corpus += function_tokens(strip_semantics(parsed.function)) * 20
+    return {f"vocab {size} pieces": digest(*train_vocab(corpus, size).pieces)
+            for size in (64, 512)}
+
+
 PARTS = (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
-         gcn_history, gcn_early_stop)
+         gcn_history, gcn_early_stop, vocabulary)
 
 
 def compare(other_src: Path) -> int:

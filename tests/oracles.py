@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms/structures
 than the library code it checks: dense eigensolvers instead of power
 iteration, bisection instead of sorting, an instruction-level interpreter
-instead of the block builder, and an explicitly unrolled backprop instead of
-the adjoint solve.
+instead of the block builder, an explicitly unrolled backprop instead of
+the adjoint solve, and a full pair recount per vocabulary merge instead of
+incremental pair counts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from cfgexec.solver import (
     anderson,
 )
 from cfgexec.training import AdamState, EpochRecord, adam_step
+from cfgexec.vocab import RESERVED, Vocab, VocabError
 
 
 def dense_spectral_radius(m: np.ndarray) -> float:
@@ -417,3 +419,51 @@ def train_gcn_reference(dataset, config, eval_dataset, layers: int = 2,
         if float(np.mean(losses)) < 0.02:
             break
     return store, history, best_acc, best_auc, acc_at_best_auc
+
+
+def train_vocab_reference(corpus, target_size: int) -> Vocab:
+    """Greedy pair-merge vocabulary that recounts every adjacent pair of every
+    distinct token and rewrites every token at each merge: the loop
+    `vocab.train_vocab` replaced with incremental pair counts."""
+    tokens: dict[tuple[str, ...], int] = {}
+    for tok in corpus:
+        if not tok:
+            continue
+        key = tuple(tok)
+        tokens[key] = tokens.get(key, 0) + 1
+    charset = sorted({c for key in tokens for c in key})
+    if target_size < len(charset) + len(RESERVED):
+        raise VocabError(
+            "target-size-too-small",
+            f"need at least {len(charset) + len(RESERVED)} pieces, got {target_size}",
+        )
+    pieces: list[str] = list(RESERVED) + charset
+    work = dict(tokens)
+    while len(pieces) < target_size:
+        counts: dict[tuple[str, str], int] = {}
+        for key, freq in work.items():
+            for i in range(len(key) - 1):
+                pair = (key[i], key[i + 1])
+                counts[pair] = counts.get(pair, 0) + freq
+        if not counts:
+            break
+        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merged = best[0] + best[1]
+        if merged in pieces:
+            break
+        pieces.append(merged)
+        new_work: dict[tuple[str, ...], int] = {}
+        for key, freq in work.items():
+            out: list[str] = []
+            i = 0
+            while i < len(key):
+                if i + 1 < len(key) and key[i] == best[0] and key[i + 1] == best[1]:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(key[i])
+                    i += 1
+            new_key = tuple(out)
+            new_work[new_key] = new_work.get(new_key, 0) + freq
+        work = new_work
+    return Vocab(pieces=tuple(pieces))

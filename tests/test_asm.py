@@ -56,6 +56,18 @@ class TestBlocks:
         assert pf.indirect_blocks == (0,)
         assert all(e[0] != 0 for e in pf.edges)
 
+    @pytest.mark.parametrize("distance", ["", "short ", "near ", "near ptr ", "SHORT "])
+    def test_jump_distance_keyword_names_the_label(self, distance):
+        text = (f"g:\ntest eax, eax\njnz {distance}skip\njmp {distance}done\n"
+                "skip:\nmov eax, 1\ndone:\nret\n")
+        pf = parse_one(text)
+        assert pf.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert pf.indirect_blocks == ()
+
+    def test_near_ptr_memory_jump_stays_indirect(self):
+        pf = parse_one("cmp eax, 1\njmp near ptr [rax]\nret\n")
+        assert pf.indirect_blocks == (0,)
+
     def test_empty_function_error(self):
         with pytest.raises(AsmParseError) as err:
             parse_listing("f:\ng: ret\n")

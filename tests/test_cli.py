@@ -71,6 +71,19 @@ class TestVocabCli:
                      "--out", str(tmp_path / "v.json")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("size", ["4", "0", "-3"])
+    def test_size_below_five_is_usage_error_before_reading(self, tmp_path, capsys,
+                                                            monkeypatch, size):
+        asm = tmp_path / "f.s"
+        asm.write_text(LISTING)
+        out = tmp_path / "v.json"
+        monkeypatch.setattr(cfgexec.cli, "_collect_asm_tokens",
+                            lambda *a: pytest.fail("input read"))
+        code = main(["vocab", "train", "--input", str(asm), "--size", size, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: size must be >= 5, got {size}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["missing.s", "empty-dir"])
     def test_no_listing_is_data_error_naming_the_input(self, tmp_path, capsys, where):

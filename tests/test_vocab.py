@@ -1,5 +1,6 @@
 """Subword vocabulary training and encoding."""
 
+import numpy as np
 import pytest
 
 from cfgexec.nn import BOS_ID, EOS_ID, UNK_ID
@@ -12,6 +13,8 @@ from cfgexec.vocab import (
     train_vocab,
     write_vocab_file,
 )
+
+from oracles import train_vocab_reference
 
 
 class TestTrain:
@@ -44,6 +47,60 @@ class TestTrain:
     def test_size_capped_at_target(self):
         vocab = train_vocab(["movaps", "movaps", "movapd"] * 3, 12)
         assert vocab.size <= 12
+
+
+def train_both(corpus, target_size):
+    """Both trainers' pieces, or both errors' code and message."""
+    out = []
+    for trainer in (train_vocab, train_vocab_reference):
+        try:
+            out.append(trainer(corpus, target_size).pieces)
+        except VocabError as err:
+            out.append((err.code, str(err)))
+    return out
+
+
+class TestMatchesFullRecount:
+    """The incremental trainer against the loop that recounts every pair at
+    every merge, piece for piece."""
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abc"])
+    def test_random_corpora(self, alphabet):
+        rng = np.random.default_rng(len(alphabet))
+        for _ in range(60):
+            corpus = ["".join(rng.choice(list(alphabet), size=int(rng.integers(0, 9))))
+                      for _ in range(int(rng.integers(1, 40)))]
+            corpus += ["", alphabet[0] * int(rng.integers(2, 7))]  # runs: overlapping pairs
+            floor = len(set("".join(corpus))) + 4
+            for target in (floor, floor + 1, floor + 5, floor + 20, floor + 200):
+                ours, ref = train_both(corpus, target)
+                assert ours == ref, (corpus, target)
+
+    def test_runs_of_one_letter(self):
+        corpus = ["aaaa", "aaa", "aaaaaaa", "aa", "a", ""]
+        for target in range(5, 12):
+            ours, ref = train_both(corpus, target)
+            assert ours == ref
+
+    def test_tied_counts_break_lexicographically(self):
+        corpus = ["ba", "ab", "cd", "dc"]  # four pairs, each seen once
+        ours, ref = train_both(corpus, 9)
+        assert ours == ref
+        assert ours[-1] == "ab"
+
+    def test_stops_when_merge_is_already_a_piece(self):
+        # the merges rebuild "<eos>", a reserved piece, before ("a", "b") is
+        # merged, and training stops there with a pair left
+        corpus = ["<eos>", "<eos>", "ab"]
+        ours, ref = train_both(corpus, 40)
+        assert ours == ref
+        assert ours[-3:] == ("<e", "<eo", "<eos")
+        assert "ab" not in ours
+
+    def test_target_size_too_small(self):
+        ours, ref = train_both(["abcdef", "ab"], 9)
+        assert ours == ref
+        assert ours[0] == "target-size-too-small"
 
 
 class TestEncode:
