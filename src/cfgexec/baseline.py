@@ -1,10 +1,10 @@
 """Fixed-depth GCN baseline for the receptive-field comparison.
 
-Shares the token encoder, pooling, prediction head and training loop with
-the equilibrium model but replaces the solved transition with a fixed stack
-of ungated message-passing layers trained by ordinary backprop. With k layers
-a node sees exactly its k-hop in-neighborhood, which is the property the
-synthetic long-chain benchmark stresses.
+Shares the token encoder, pooling, prediction head, training loop and eval
+scoring with the equilibrium model but replaces the solved transition with a
+fixed stack of ungated message-passing layers trained by ordinary backprop.
+With k layers a node sees exactly its k-hop in-neighborhood, which is the
+property the synthetic long-chain benchmark stresses.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import CfgGraph
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport
 from .model import (
     GraphBundle,
-    bce_with_logit,
     derive_seed,
     encoder_tail,
     encoder_tail_backward,
@@ -27,8 +26,7 @@ from .model import (
     init_model_params,
     prepare_graph,
 )
-from .nn import (ACTIVATIONS, ParamStore, bigru_backward, bigru_forward, embed, embed_backward,
-                 sigmoid)
+from .nn import ACTIVATIONS, ParamStore, bigru_backward, bigru_forward, embed, embed_backward
 from . import training
 from .training import AdamState, EpochRecord, TrainConfig
 
@@ -97,24 +95,18 @@ class _GcnSteps:
         self.store, self.config, self.layers = store, config, layers
         self.adam = AdamState.init(store)
 
-    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> Iterator[tuple]:
-        return (gcn_forward_backward(b, self.store, self.config, self.layers, "train",
-                                     derive_seed(self.config.seed, "train", epoch, b.graph.id),
-                                     b.label) for b in window)
+    def train_window(self, window: Sequence[GraphBundle], seeds: Sequence[int]) -> Iterator[tuple]:
+        return (gcn_forward_backward(b, self.store, self.config, self.layers, "train", seed,
+                                     b.label) for b, seed in zip(window, seeds))
 
     def step(self, members: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         training.adam_step(self.store, grads, self.config, self.adam)
 
     def eval_pass(self, bundles: Sequence[GraphBundle]) -> tuple[float, MetricsReport, list]:
-        scores, labels, losses = [], [], []
-        for b in bundles:
-            logit, _, _ = gcn_forward_backward(
-                b, self.store, self.config, self.layers, "eval",
-                derive_seed(self.config.seed, "eval", b.graph.id), None)
-            scores.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
-            labels.append(b.label)
-            losses.append(bce_with_logit(logit, b.label))
-        return float(np.mean(losses)), compute_metrics(np.array(scores), np.array(labels)), scores
+        # eval mode draws no dropout, so no graph needs a seed of its own
+        return training.score_draws(bundles, [
+            [gcn_forward_backward(b, self.store, self.config, self.layers, "eval", 0, None)[0]]
+            for b in bundles])
 
 
 def train_gcn(dataset: Sequence[CfgGraph], config: TrainConfig,

@@ -23,8 +23,8 @@ from .graphs import (
     read_text,
     write_graph_file,
 )
-from .model import forward, init_model_params, model_backward, prepare_graph
-from .nn import NumericError, finite_diff_check
+from .model import bce_with_logit, forward, init_model_params, model_backward, prepare_graph
+from .nn import NumericError, ParamStore, finite_diff_check
 from .solver import DivergenceError, SolverConfig, anderson, naive_iterate
 from .synth import SynthesisError, SyntheticSpec, generate_dataset, spec_from_json, split
 from .training import (
@@ -224,12 +224,12 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     store = init_model_params(config, spec.vocab_size, seed=args.seed)
 
     def loss_fn(params):
-        probe = store.copy()
-        probe.params = params
-        _, cache = forward(bundle, probe, config, mode="eval", seed=args.seed)
-        return model_backward(cache, probe, graph.label)
+        logit, _ = forward(bundle, ParamStore(params), config, mode="eval", seed=args.seed)
+        return bce_with_logit(logit, graph.label)
 
-    worst = finite_diff_check(loss_fn, store.params, eps=2e-4, frozen=store.frozen)
+    _, cache = forward(bundle, store, config, mode="eval", seed=args.seed)
+    _, grads = model_backward(cache, store, graph.label)
+    worst = finite_diff_check(loss_fn, grads, store.params, eps=2e-4)
     top = max(worst.values())
     for name in sorted(worst):
         print(f"{name:12s} max rel err {worst[name]:.3e}")

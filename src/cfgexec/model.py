@@ -111,7 +111,7 @@ PARAM_NAMES = tuple(param_shapes(1, 1))
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> ParamStore:
-    """Seeded parameter initialization; the pad embedding row is frozen at zero.
+    """Seeded parameter initialization; the pad embedding row starts at zero.
 
     Embeddings start larger than the dense layers so token contrasts survive
     the encoder and the solved transition with usable magnitude. The
@@ -150,9 +150,7 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
             params[name] = (0.7 * np.eye(h) + rng.normal(size=(h, h)) * (0.1 / h)).astype(dtype)
         else:
             params[name] = (rng.normal(size=shapes[name]) * scale).astype(dtype)
-    frozen_emb = np.zeros((vocab_size, h), dtype=bool)
-    frozen_emb[0] = True
-    return ParamStore(params=params, frozen={"emb": frozen_emb})
+    return ParamStore(params=params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,12 +319,17 @@ class GroupCache:
     step: JointStep
     solve: StackResult
     head: HeadCache
-    terminations: list[str]
     selected: list[list[int]]  # argmax z at each solver iterate; empty unless keep_trace
 
     @property
     def x_star(self) -> np.ndarray:
         return self.solve.x_star
+
+    @property
+    def terminations(self) -> list[str]:
+        """Why each graph's solve stopped: "equilibrium" when it converged."""
+        return ["equilibrium" if r.converged else (r.stop_reason or "max-steps")
+                for r in self.solve.results]
 
     @functools.cached_property
     def step_cache(self) -> StepCache:
@@ -492,12 +495,9 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         for r in solve.results:
             del r.residuals[:-1]
     head_cache = head(ensure_finite("equilibrium", solve.x_star), p)
-    terminations = ["equilibrium" if r.converged else (r.stop_reason or "max-steps")
-                    for r in solve.results]
     cache = GroupCache(
         bundles=bundles, config=config, mode=mode, ids=ids, gru=gru_cache, pool=pool_cache,
-        keep=keep, step=step, solve=solve, head=head_cache,
-        terminations=terminations, selected=selected,
+        keep=keep, step=step, solve=solve, head=head_cache, selected=selected,
     )
     if keep_trace:
         # the solver returns a converged iterate without calling on_iterate
@@ -516,8 +516,7 @@ def bce_grad(logit: float, label: int) -> float:
     return float(sigmoid(np.asarray(logit, dtype=np.float64)) - label)
 
 
-def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray,
-                      store: ParamStore) -> dict[str, np.ndarray]:
+def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray) -> dict[str, np.ndarray]:
     """Adjoint solve at the equilibrium, then parameter gradients.
 
     Solves v = dl_dxstar + (dF/dX)^T v per graph of the group with the
@@ -559,7 +558,7 @@ def _backward_group(cache: GroupCache, store: ParamStore,
         raise ValueError(f"{len(cache.bundles)} graphs need as many labels, got {len(labels)}")
     p = store.params
     losses, grads, dxstar = head_backward(cache.head, labels, p)
-    adj = implicit_backward(cache, dxstar, store)
+    adj = implicit_backward(cache, dxstar)
     grads.update({name: adj[name] for name in ("W", "Om", "cb", "ws")})
     d_hseq = encoder_tail_backward(adj["U"], cache.pool, cache.keep)
     d_emb_in, enc_grads = bigru_backward(d_hseq, cache.gru, p)

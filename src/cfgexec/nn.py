@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -366,20 +366,12 @@ def bigru_backward(d_out: np.ndarray, cache: BiGruCache,
 
 @dataclass
 class ParamStore:
-    """Named parameters.
-
-    `frozen` maps a parameter name to a boolean mask of entries excluded from
-    updates and finite-difference probing (the pad embedding row).
-    """
+    """Named parameters."""
 
     params: dict[str, np.ndarray]
-    frozen: dict[str, np.ndarray] = field(default_factory=dict)
 
     def copy(self) -> "ParamStore":
-        return ParamStore(
-            params={k: v.copy() for k, v in self.params.items()},
-            frozen={k: v.copy() for k, v in self.frozen.items()},
-        )
+        return ParamStore(params={k: v.copy() for k, v in self.params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +379,35 @@ class ParamStore:
 
 
 def finite_diff_check(
-    loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
+    loss_fn: Callable[[dict[str, np.ndarray]], float],
+    grads: Mapping[str, np.ndarray],
     params: Mapping[str, np.ndarray],
     eps: float = 1e-4,
-    frozen: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, float]:
     """Compare analytic gradients against central finite differences.
 
-    loss_fn takes a parameter dict and returns (loss, grads); it must be
-    deterministic (any sampling frozen by seed). Returns the worst relative
-    error |a - n| / max(|a|, |n|, 1e-8) per parameter. Frozen entries are
-    skipped. Raises NumericError("nondeterministic-loss") when two
-    evaluations at the same point disagree.
+    `grads` are the analytic gradients at `params`; loss_fn takes a
+    parameter dict and returns the loss alone, and it must be deterministic
+    (any sampling frozen by seed). Returns the worst relative error
+    |a - n| / max(|a|, |n|, 1e-8) per parameter. Raises
+    NumericError("nondeterministic-loss") when two evaluations at the same
+    point disagree.
     """
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    loss1, grads = loss_fn({k: v.copy() for k, v in base.items()})
-    loss2, _ = loss_fn({k: v.copy() for k, v in base.items()})
+    loss1 = loss_fn({k: v.copy() for k, v in base.items()})
+    loss2 = loss_fn({k: v.copy() for k, v in base.items()})
     if loss1 != loss2:
         raise NumericError(f"nondeterministic-loss: {loss1!r} != {loss2!r}")
     worst: dict[str, float] = {}
     for name, value in base.items():
-        skip = frozen.get(name) if frozen else None
         err = 0.0
         flat = value.reshape(-1)
         for i in range(flat.size):
-            if skip is not None and skip.reshape(-1)[i]:
-                continue
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = loss_fn({k: v.copy() for k, v in base.items()})
+            lp = loss_fn({k: v.copy() for k, v in base.items()})
             flat[i] = orig - eps
-            lm, _ = loss_fn({k: v.copy() for k, v in base.items()})
+            lm = loss_fn({k: v.copy() for k, v in base.items()})
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             analytic = float(grads[name].reshape(-1)[i])

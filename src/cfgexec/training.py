@@ -35,7 +35,7 @@ from .model import (
     param_shapes,
     prepare_graph,
 )
-from .nn import NumericError, ParamStore, sigmoid
+from .nn import PAD_ID, NumericError, ParamStore, sigmoid
 from .solver import ANDERSON_RIDGE, SolverConfig, project_wellposed
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -103,8 +103,8 @@ class AdamState:
 
 def adam_step(store: ParamStore, grads: Mapping[str, np.ndarray], config: TrainConfig,
               state: AdamState) -> None:
-    """Bias-corrected Adam update of every parameter; the frozen pad embedding
-    row stays zero."""
+    """Bias-corrected Adam update of every parameter; the pad embedding row
+    stays zero."""
     state.t += 1
     b1c = 1.0 - ADAM_BETA1 ** state.t
     b2c = 1.0 - ADAM_BETA2 ** state.t
@@ -115,9 +115,7 @@ def adam_step(store: ParamStore, grads: Mapping[str, np.ndarray], config: TrainC
         m_hat = state.m[name] / b1c
         v_hat = state.v[name] / b2c
         p -= (config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-    frozen = store.frozen.get("emb")
-    if frozen is not None:
-        store.params["emb"][frozen] = 0.0
+    store.params["emb"][PAD_ID] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +238,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig, AdamStat
             if arr.shape != expected[name]:
                 raise CheckpointError(f"tensor {name!r} ({role}) has shape {arr.shape}, "
                                       f"expected {expected[name]} for h={config.h}")
-    frozen = np.zeros(params["emb"].shape, dtype=bool)
-    frozen[0] = True
-    store = ParamStore(params=params, frozen={"emb": frozen})
     adam = AdamState(m=tensors["adam_m"], v=tensors["adam_v"], t=adam_t, lambda_ref=lambda_ref)
-    return store, config, adam, epoch
+    return ParamStore(params=params), config, adam, epoch
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +283,22 @@ def write_metrics_csv(history: Sequence[EpochRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(metrics_csv_rows(history)) + "\n", encoding="utf-8")
 
 
+def score_draws(bundles: Sequence[GraphBundle], draws: Sequence[Sequence[float]],
+                ) -> tuple[float, MetricsReport, list[float]]:
+    """Both models' eval record from each graph's logits, one per draw:
+    (mean first-draw loss, metrics, scores). A graph's score is the mean
+    probability of its draws."""
+    labels = [b.label for b in bundles]
+    scores = [float(np.mean([float(sigmoid(np.asarray(logit, dtype=np.float64)))
+                             for logit in logits])) for logits in draws]
+    loss = float(np.mean([bce_with_logit(logits[0], y) for logits, y in zip(draws, labels)]))
+    return loss, compute_metrics(np.array(scores), np.array(labels)), scores
+
+
 def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainConfig,
              noise_seeds: int = 1, traces: list | None = None,
              ) -> tuple[float, MetricsReport, list[float]]:
-    """Eval-mode pass over a split; returns (mean loss, metrics, scores).
+    """Eval-mode pass over a split; returns `score_draws` of its logits.
 
     noise_seeds > 1 averages scores over that many frozen agent-noise draws
     per graph, which tightens metrics without touching determinism (the
@@ -300,28 +307,23 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
     A list given as `traces` receives each graph's first-draw cache, run with
     keep_trace (which leaves the score's bits as they are).
     """
-    scores: list[float] = []
-    labels: list[int] = []
-    losses: list[float] = []
+    draws: list[list[float]] = []
     for b in bundles:
         if b.label is None:
             raise GraphValidationError("label-missing", f"graph {b.graph.id!r} has no label")
-        probs = []
+        logits = []
         first = None
         for k in range(noise_seeds):
             logit, cache = forward(b, store, config, mode="eval",
                                    seed=derive_seed(config.seed, "eval", b.graph.id, k),
                                    keep_trace=k == 0 and traces is not None, reuse=first)
-            probs.append(float(sigmoid(np.asarray(logit, dtype=np.float64))))
+            logits.append(logit)
             if k == 0:
                 first = cache
-                losses.append(bce_with_logit(logit, b.label))
         if traces is not None:
             traces.append(first)
-        scores.append(float(np.mean(probs)))
-        labels.append(b.label)
-    report = compute_metrics(np.array(scores), np.array(labels))
-    return float(np.mean(losses)), report, scores
+        draws.append(logits)
+    return score_draws(bundles, draws)
 
 
 # Consecutive graphs of a batch that train together. Within a window, graphs
@@ -358,11 +360,12 @@ def check_inputs(dataset: Sequence[CfgGraph], eval_dataset: Sequence[CfgGraph],
 def run_epochs(steps, train_bundles: Sequence[GraphBundle], eval_bundles: Sequence[GraphBundle],
                config: TrainConfig, start_epoch: int = 0) -> Iterator[tuple[EpochRecord, ...]]:
     """The epoch loop both models train with; yields each epoch's (train, eval)
-    records. `steps.train_window(window, epoch)` gives (logit, loss, grads)
-    per graph in window order, and each graph's gradients are summed and
-    dropped before the next is asked for; `steps.step(members, grads)` takes one
-    optimizer step per batch on its mean gradients (summed in f64 in batch
-    order), and `steps.eval_pass(bundles)` returns what `evaluate` does."""
+    records. `steps.train_window(window, seeds)` gives (logit, loss, grads)
+    per graph in window order, and each graph's loss is checked and its
+    gradients summed and dropped before the next is asked for;
+    `steps.step(members, grads)` takes one optimizer step per batch on its
+    mean gradients (summed in f64 in batch order), and
+    `steps.eval_pass(bundles)` returns what `score_draws` does."""
     for epoch in range(start_epoch + 1, config.epochs + 1):
         order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(
             len(train_bundles))
@@ -372,8 +375,15 @@ def run_epochs(steps, train_bundles: Sequence[GraphBundle], eval_bundles: Sequen
             batch = [train_bundles[i] for i in members]
             summed: dict[str, np.ndarray] | None = None
             for wlo in range(0, len(batch), GROUP_WINDOW):
-                for logit, loss, grads in steps.train_window(batch[wlo : wlo + GROUP_WINDOW],
-                                                             epoch):
+                window = batch[wlo : wlo + GROUP_WINDOW]
+                seeds = [derive_seed(config.seed, "train", epoch, b.graph.id) for b in window]
+                start = len(losses)
+                # no zip or enumerate: their reused result tuple would hold a
+                # graph's gradients while the window's next group runs
+                for logit, loss, grads in steps.train_window(window, seeds):
+                    if not np.isfinite(loss):
+                        bad = window[len(losses) - start]
+                        raise NumericError(f"nan-detected: loss for graph {bad.graph.id!r}")
                     logits.append(logit)
                     losses.append(loss)
                     if summed is None:
@@ -404,13 +414,12 @@ class _EquilibriumSteps:
         self.lambda_pf_max = 0.0
         self.max_w_violation = -np.inf  # max over steps of ||W||_inf - kappa/lambda_ref
 
-    def train_window(self, window: Sequence[GraphBundle], epoch: int) -> Iterator[tuple]:
+    def train_window(self, window: Sequence[GraphBundle], seeds: Sequence[int]) -> Iterator[tuple]:
         """Forward and backward of a window's graphs, grouped by ids shape,
         largest group first (ties in window order). Yields each graph's
         (logit, loss, grads) in window order as soon as every earlier graph
         has been yielded, and keeps no reference to it after, so a group's
-        stacked arrays are freed once its last graph is summed. A non-finite
-        loss raises as soon as its group returns."""
+        stacked arrays are freed once its last graph is summed."""
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, b in enumerate(window):
             groups.setdefault(b.ids.shape, []).append(i)
@@ -419,12 +428,9 @@ class _EquilibriumSteps:
         # largest group first: it runs while no other graph's gradients are held
         for members in sorted(groups.values(), key=len, reverse=True):
             bundles = [window[i] for i in members]
-            seeds = [derive_seed(self.config.seed, "train", epoch, b.graph.id) for b in bundles]
-            logits, cache = forward(bundles, self.store, self.config, mode="train", seed=seeds)
+            logits, cache = forward(bundles, self.store, self.config, mode="train",
+                                    seed=[seeds[i] for i in members])
             losses, grads = model_backward(cache, self.store, [b.label for b in bundles])
-            for b, loss in zip(bundles, losses):
-                if not np.isfinite(loss):
-                    raise NumericError(f"nan-detected: loss for graph {b.graph.id!r}")
             self.gated.extend(cache.gated_adjacency)
             del cache  # the next group's forward need not share memory with this one
             for j, i in enumerate(members):

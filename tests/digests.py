@@ -6,7 +6,7 @@ Run it on two checkouts (say, a change and its parent) at the same BLAS
 thread count and compare the printed lines; each is `<digest> <what>`. The
 script imports only `cfgexec`, so it also runs against an older tree:
 `PYTHONPATH=<other checkout>/src python3 tests/digests.py`. It is not a
-pytest module (pytest collects `test_*.py` only) and takes about 12 s on
+pytest module (pytest collects `test_*.py` only) and takes about 30 s on
 two CPUs.
 
     PYTHONPATH=src python3 tests/digests.py --against <other checkout>/src
@@ -39,13 +39,17 @@ What it hashes:
 - a small f64 `train_gcn` run whose 0.02 train-loss stop fires at epoch 109
   of 300: its eval history (losses and metrics) and final parameters;
 - the pieces `train_vocab` gives at 64 and at 512 pieces, on a seeded corpus
-  of skewed random tokens plus the stripped tokens of a short listing.
+  of skewed random tokens plus the stripped tokens of a short listing;
+- the printed report and exit code of `cfgexec gradcheck --seed s` for s = 0
+  and 1 (the finite-difference check of the full model, through the CLI).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -55,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from cfgexec.asm import function_tokens, parse_listing, strip_semantics
+from cfgexec import cli
 from cfgexec.baseline import train_gcn
 from cfgexec.model import forward, init_model_params, prepare_graph
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
@@ -231,8 +236,18 @@ def vocabulary() -> dict[str, str]:
             for size in (64, 512)}
 
 
+def gradient_check() -> dict[str, str]:
+    out = {}
+    for seed in ("0", "1"):
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            code = cli.main(["gradcheck", "--seed", seed])
+        out[f"gradcheck seed {seed}"] = digest(report.getvalue(), np.int64(code))
+    return out
+
+
 PARTS = (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
-         gcn_history, gcn_early_stop, vocabulary)
+         gcn_history, gcn_early_stop, vocabulary, gradient_check)
 
 
 def compare(other_src: Path) -> int:

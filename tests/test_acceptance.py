@@ -14,12 +14,13 @@ import pytest
 from cfgexec.baseline import train_gcn
 from cfgexec.metrics import compute_metrics
 from cfgexec.model import (
+    bce_with_logit,
     forward,
     init_model_params,
     model_backward,
     prepare_graph,
 )
-from cfgexec.nn import finite_diff_check
+from cfgexec.nn import ParamStore, finite_diff_check
 from cfgexec.solver import SolverConfig, anderson, naive_iterate, pf_eigenvalue
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
 from cfgexec.training import (
@@ -60,13 +61,13 @@ def test_criterion_1_gradient_correctness():
     for seed in range(10):
         cfg, graph, bundle, store = tiny_instance(seed, h=6)
 
-        def loss_fn(params, _s=store, _b=bundle, _c=cfg, _g=graph, _seed=seed):
-            probe = _s.copy()
-            probe.params = params
-            _, cache = forward(_b, probe, _c, mode="eval", seed=_seed)
-            return model_backward(cache, probe, _g.label)
+        def loss_fn(params, _b=bundle, _c=cfg, _g=graph, _seed=seed):
+            logit, _ = forward(_b, ParamStore(params), _c, mode="eval", seed=_seed)
+            return bce_with_logit(logit, _g.label)
 
-        worst = finite_diff_check(loss_fn, store.params, eps=2e-4, frozen=store.frozen)
+        _, grads = model_backward(forward(bundle, store, cfg, mode="eval", seed=seed)[1], store,
+                                  graph.label)
+        worst = finite_diff_check(loss_fn, grads, store.params, eps=2e-4)
         worst_overall = max(worst_overall, max(worst.values()))
     elapsed = time.time() - t0
     report(1, worst_overall < 1e-4 and elapsed < 120,

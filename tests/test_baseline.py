@@ -5,10 +5,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from cfgexec import baseline
 from cfgexec.baseline import gcn_forward_backward, init_gcn_params, train_gcn
 from cfgexec.graphs import GraphValidationError, make_graph
-from cfgexec.model import prepare_graph
-from cfgexec.nn import finite_diff_check
+from cfgexec.model import bce_with_logit, prepare_graph
+from cfgexec.nn import NumericError, ParamStore, finite_diff_check
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
 from cfgexec.training import TrainConfig
@@ -33,12 +34,11 @@ class TestGcnGradients:
         store = init_gcn_params(cfg, 12, layers=2, seed=1)
 
         def loss_fn(params):
-            probe = store.copy()
-            probe.params = params
-            _, loss, grads = gcn_forward_backward(bundle, probe, cfg, 2, "eval", 0, g.label)
-            return loss, grads
+            logit, _, _ = gcn_forward_backward(bundle, ParamStore(params), cfg, 2, "eval", 0, None)
+            return bce_with_logit(logit, g.label)
 
-        worst = finite_diff_check(loss_fn, store.params, eps=2e-4, frozen=store.frozen)
+        _, _, grads = gcn_forward_backward(bundle, store, cfg, 2, "eval", 0, g.label)
+        worst = finite_diff_check(loss_fn, grads, store.params, eps=2e-4)
         assert max(worst.values()) < 1e-4
 
     def test_zero_layers_is_bag_of_blocks(self):
@@ -107,6 +107,28 @@ class TestGcnTraining:
             with pytest.raises(GraphValidationError, match="label-missing"):
                 train_gcn(ds[:6], cfg, ds[6:], vocab_size=16)
             object.__setattr__(unlabeled, "label", label)
+
+    def test_nan_loss_raises(self, monkeypatch):
+        # a NaN written into a weight after the first training graph makes
+        # the next graph's loss NaN, which must stop training
+        run_graph = baseline.gcn_forward_backward
+        calls = []
+
+        def poisoning(bundle, store, *args):
+            out = run_graph(bundle, store, *args)
+            calls.append(bundle.graph.id)
+            if len(calls) == 1:
+                store.params["gcn_W0"][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(baseline, "gcn_forward_backward", poisoning)
+        tr, ev = split(generate_dataset(SyntheticSpec(n_graphs=40, chain_length=4,
+                                                      node_count_range=(9, 11), seed=1)),
+                       0.75, 1)
+        cfg = TrainConfig(h=8, epochs=2, batch_size=8, seed=0, v_max=6)
+        with pytest.raises(NumericError, match="nan-detected: loss for graph"):
+            train_gcn(tr, cfg, ev)
+        assert len(calls) == 2
 
     def test_empty_dataset_rejected(self):
         ds = generate_dataset(SyntheticSpec(n_graphs=2, chain_length=1, node_count_range=(5, 6),

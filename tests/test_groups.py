@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from cfgexec import training
-from cfgexec.model import GraphBundle, forward, init_model_params, model_backward, prepare_graph
+from cfgexec.model import (
+    GraphBundle,
+    derive_seed,
+    forward,
+    init_model_params,
+    model_backward,
+    prepare_graph,
+)
 from cfgexec.solver import DivergenceError, SolverConfig, anderson
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import AdamState, TrainConfig, metrics_csv_rows, train
@@ -321,7 +328,8 @@ class TestTrainingWindows:
         monkeypatch.setattr(training, "forward", logging)
         store = init_model_params(cfg, 16, cfg.seed)
         steps = training._EquilibriumSteps(window, store, cfg, AdamState.init(store))
-        for i, (logit, loss, grads) in enumerate(steps.train_window(window, 1)):
+        seeds = [derive_seed(cfg.seed, "train", 1, b.graph.id) for b in window]
+        for i, (logit, loss, grads) in enumerate(steps.train_window(window, seeds)):
             events.append(("yield", i))
         return events
 

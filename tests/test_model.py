@@ -17,7 +17,7 @@ from cfgexec.model import (
     model_backward,
     prepare_graph,
 )
-from cfgexec.nn import finite_diff_check
+from cfgexec.nn import ParamStore, finite_diff_check
 from cfgexec.solver import SolverConfig, anderson, naive_iterate
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import TrainConfig
@@ -333,12 +333,12 @@ class TestImplicitBackward:
         cfg, graph, bundle, store = tiny_setup(7)
 
         def loss_fn(params):
-            probe = store.copy()
-            probe.params = params
-            _, cache = forward(bundle, probe, cfg, mode="eval", seed=7)
-            return model_backward(cache, probe, graph.label)
+            logit, _ = forward(bundle, ParamStore(params), cfg, mode="eval", seed=7)
+            return bce_with_logit(logit, graph.label)
 
-        worst = finite_diff_check(loss_fn, store.params, eps=2e-4, frozen=store.frozen)
+        _, grads = model_backward(forward(bundle, store, cfg, mode="eval", seed=7)[1], store,
+                                  graph.label)
+        worst = finite_diff_check(loss_fn, grads, store.params, eps=2e-4)
         assert max(worst.values()) < 1e-4
 
     def test_train_mode_gradients_also_check(self):
@@ -346,12 +346,12 @@ class TestImplicitBackward:
         cfg.dropout = 0.5
 
         def loss_fn(params):
-            probe = store.copy()
-            probe.params = params
-            _, cache = forward(bundle, probe, cfg, mode="train", seed=11)
-            return model_backward(cache, probe, graph.label)
+            logit, _ = forward(bundle, ParamStore(params), cfg, mode="train", seed=11)
+            return bce_with_logit(logit, graph.label)
 
-        worst = finite_diff_check(loss_fn, store.params, eps=2e-4, frozen=store.frozen)
+        _, grads = model_backward(forward(bundle, store, cfg, mode="train", seed=11)[1], store,
+                                  graph.label)
+        worst = finite_diff_check(loss_fn, grads, store.params, eps=2e-4)
         assert max(worst.values()) < 1e-4
 
 

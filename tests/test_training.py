@@ -16,7 +16,7 @@ from cfgexec.model import (
     init_model_params,
     prepare_graph,
 )
-from cfgexec.nn import sigmoid
+from cfgexec.nn import NumericError, sigmoid
 from cfgexec.solver import SolverConfig
 from cfgexec.synth import SyntheticSpec, generate_dataset
 from cfgexec.training import (
@@ -145,6 +145,28 @@ class TestTrainLoop:
         fit = {"train": train, "train_gcn": train_gcn}[run]
         with pytest.raises(GraphValidationError, match="empty-dataset: no eval graphs"):
             fit(small_dataset(8), small_config(), [])
+
+    def test_seeds_and_loss_check_come_from_the_epoch_loop(self):
+        # both models' steps get each graph's train seed from run_epochs, and
+        # a non-finite loss stops training at the graph that gave it
+        cfg = small_config(batch_size=4)
+        bundles = [prepare_graph(g, cfg) for g in small_dataset(8)]
+        order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", 1)).permutation(8)
+        bad = bundles[order[5]]  # the second batch's second graph
+        seen = []
+
+        class Steps:
+            def train_window(self, window, seeds):
+                for b, seed in zip(window, seeds):
+                    seen.append(seed == derive_seed(cfg.seed, "train", 1, b.graph.id))
+                    yield 0.0, np.nan if b is bad else 0.5, {"w": np.zeros(1)}
+
+            def step(self, members, grads):
+                pass
+
+        with pytest.raises(NumericError, match=f"nan-detected: loss for graph {bad.graph.id!r}"):
+            next(cfgexec.training.run_epochs(Steps(), bundles, [], cfg))
+        assert seen == [True] * 6
 
     def test_missing_label_rejected(self):
         ds = small_dataset(8)
