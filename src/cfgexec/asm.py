@@ -89,8 +89,7 @@ class ParsedFunction:
 
 
 def is_conditional_jump(mnemonic: str) -> bool:
-    return (mnemonic not in JMP_MNEMONICS and _COND_JUMP_RE.match(mnemonic) is not None
-            and mnemonic not in CALL_MNEMONICS)
+    return mnemonic not in JMP_MNEMONICS and _COND_JUMP_RE.match(mnemonic) is not None
 
 
 def _strip_comment(line: str) -> str:

@@ -136,20 +136,15 @@ def init_model_params(config: ModelConfig, vocab_size: int, seed: int = 0) -> Pa
             params[f"{prefix}_{name}"] = np.zeros(h, dtype=dtype)
     params["mix_W"] = (rng.normal(size=(2 * h, h)) * scale).astype(dtype)
     params["mix_b"] = np.zeros(h, dtype=dtype)
-    shapes = param_shapes(h, vocab_size)
-    for name in ("ws", "W", "Om", "cb", "ln_g", "ln_b", "wp"):
-        if name == "ln_g":
-            params[name] = np.ones(h, dtype=dtype)
-        elif name == "ln_b":
-            params[name] = np.zeros(h, dtype=dtype)
-        elif name == "cb":
-            # nonzero injection bias moves the activation off its linear
-            # center, where feature interactions would otherwise vanish
-            params[name] = (rng.normal(size=h) * 0.7).astype(dtype)
-        elif name == "W":
-            params[name] = (0.7 * np.eye(h) + rng.normal(size=(h, h)) * (0.1 / h)).astype(dtype)
-        else:
-            params[name] = (rng.normal(size=shapes[name]) * scale).astype(dtype)
+    params["ws"] = (rng.normal(size=(h, 1)) * scale).astype(dtype)
+    params["W"] = (0.7 * np.eye(h) + rng.normal(size=(h, h)) * (0.1 / h)).astype(dtype)
+    params["Om"] = (rng.normal(size=(h, h)) * scale).astype(dtype)
+    # nonzero injection bias moves the activation off its linear center, where
+    # feature interactions would otherwise vanish
+    params["cb"] = (rng.normal(size=h) * 0.7).astype(dtype)
+    params["ln_g"] = np.ones(h, dtype=dtype)
+    params["ln_b"] = np.zeros(h, dtype=dtype)
+    params["wp"] = (rng.normal(size=h) * scale).astype(dtype)
     return ParamStore(params=params)
 
 
@@ -304,8 +299,8 @@ class GroupCache:
 
     Per-graph values are lists in group order; `solve` holds each graph's
     `SolverResult` and the stacked fixed points. The linearization is
-    computed on first read, so an eval forward that only scores never
-    linearizes. It uses the weights the forward ran with: `step` holds its
+    computed on first read, so an eval forward never linearizes, traced or
+    not. It uses the weights the forward ran with: `step` holds its
     own copy of them, so a read after an optimizer step gives the same bits.
     """
 
@@ -495,16 +490,10 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
         for r in solve.results:
             del r.residuals[:-1]
     head_cache = head(ensure_finite("equilibrium", solve.x_star), p)
-    cache = GroupCache(
+    return head_cache.logits.tolist(), GroupCache(
         bundles=bundles, config=config, mode=mode, ids=ids, gru=gru_cache, pool=pool_cache,
         keep=keep, step=step, solve=solve, head=head_cache, selected=selected,
     )
-    if keep_trace:
-        # the solver returns a converged iterate without calling on_iterate
-        for sel, r, z in zip(selected, solve.results, cache.step_cache.z):
-            if r.converged:
-                sel.append(int(np.argmax(z)))
-    return head_cache.logits.tolist(), cache
 
 
 def bce_with_logit(logit: float, label: int) -> float:

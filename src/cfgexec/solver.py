@@ -137,9 +137,14 @@ def anderson(
     window, residuals, fallbacks and stop, and leaves the stack when it stops.
     Then f(x, items) maps the iterates of the problems still running, `items`
     being their positions in the stack (a tuple, the same object until one
-    stops), and on_iterate(fx, it, items) returns one stop reason or None per
-    problem. A problem that diverges raises `DivergenceError` for the stack,
-    with the message it raises alone. A single solve is the stack of one.
+    stops). At every step, once each residual is recorded and checked for
+    divergence, on_iterate(fx, it, items) gets the map values of every
+    problem still running and returns one stop reason or None per problem; a
+    problem whose residual meets tol at that step stops converged, with no
+    stop reason, whatever reason it was given. A problem that diverges raises
+    `DivergenceError` for the stack, with the message it raises alone. A
+    single solve is the stack of one, and its on_iterate(fx, it) returns one
+    reason or None.
 
     The window holds each problem's residuals as rows of an f64 (m, N)
     buffer and its f(x) values as columns of an (N, k) array of f(x)'s dtype,
@@ -210,27 +215,17 @@ def anderson(
             # divided in the iterate's dtype, as a Python float gap would be
             res = (gaps.astype(x_norms.dtype, copy=False) / (x_norms + 1e-12)).tolist()
             gaps = gaps.tolist()
-        stopped = []
-        for j, (i, gap, r) in enumerate(zip(items, gaps, res)):
+        for i, gap, r in zip(items, gaps, res):
             residuals[i].append(r)
             if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
                 raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
-            if r < tol:
+        reasons = ([None] * len(items) if on_iterate is None
+                   else on_iterate(fx.reshape(stack_shape), it, items))
+        stopped = []
+        for j, (r, reason) in enumerate(zip(res, reasons)):
+            if r < tol or reason is not None:
                 stopped.append(j)
-        for j in stopped:
-            finish(j, fx[j], it, True)
-        if on_iterate is not None and len(stopped) < len(items):
-            if stopped:
-                running = [j for j in range(len(items)) if j not in stopped]
-                reasons = on_iterate(fx[running].reshape(len(running), *shape), it,
-                                     tuple(items[j] for j in running))
-            else:
-                running = range(len(items))
-                reasons = on_iterate(fx.reshape(stack_shape), it, items)
-            for j, reason in zip(running, reasons):
-                if reason is not None:
-                    stopped.append(j)
-                    finish(j, fx[j], it, False, reason)
+                finish(j, fx[j], it, r < tol, None if r < tol else reason)
         if stopped:
             keep = [j for j in range(len(items)) if j not in stopped]
             if not keep:
@@ -315,13 +310,7 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
         y = np.matmul(ms, x[..., None])[..., 0]
         lam = np.zeros(len(items))
         for _ in range(max_iter):
-            norm = np.sqrt(np.vecdot(y, y))
-            if not norm.all():  # a zero iterate: radius 0
-                keep = norm != 0.0
-                items, ms, x, y, lam, norm = (v[keep] for v in (items, ms, x, y, lam, norm))
-                if not len(items):
-                    break
-            np.divide(y, norm[:, None], out=x)
+            np.divide(y, np.sqrt(np.vecdot(y, y))[:, None], out=x)
             np.matmul(ms, x[..., None], out=y[..., None])
             lam_new = np.vecdot(x, y)
             stop = np.abs(lam_new - lam) < tol * np.maximum(1.0, np.abs(lam_new))

@@ -58,9 +58,10 @@ def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     Pieces start from every character seen in the corpus. Each merge joins
     the most frequent adjacent pair of pieces, counted over every token and
     every position (a pair seen once is merged too); ties break
-    lexicographically. Merges stop at `target_size` pieces (reserved ids
-    included), when no adjacent pair is left, or when the merged string is
-    already a piece, so the result can be smaller than `target_size`.
+    lexicographically; a pair whose merged string is already a piece is
+    passed over. Merges stop at `target_size` pieces (reserved ids included)
+    or when no other pair is left, so the result can be smaller than
+    `target_size`.
 
     The pair counts are kept incrementally, in the style of Sennrich, Haddow
     and Birch (ACL 2016): an index from each pair to the distinct tokens that
@@ -88,14 +89,14 @@ def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     heap = [(-count, pair) for pair, count in counts.items()]
     heapq.heapify(heap)
     while len(pieces) < target_size:
-        while heap and counts.get(heap[0][1]) != -heap[0][0]:
-            heapq.heappop(heap)  # stale: the pair's count has changed since
+        # stale entries (the pair's count has changed since) and pairs whose
+        # merge is already a piece leave the heap
+        while heap and (counts.get(heap[0][1]) != -heap[0][0] or "".join(heap[0][1]) in known):
+            heapq.heappop(heap)
         if not heap:
             break
         left, right = best = heap[0][1]
         merged = left + right
-        if merged in known:
-            break
         pieces.append(merged)
         known.add(merged)
         delta: Counter[tuple[str, str]] = Counter()

@@ -40,6 +40,12 @@ What it hashes:
   of 300: its eval history (losses and metrics) and final parameters;
 - the pieces `train_vocab` gives at 64 and at 512 pieces, on a seeded corpus
   of skewed random tokens plus the stripped tokens of a short listing;
+- the `--dump-traces` and `--dump-solver` files of `cfgexec eval`, for the
+  soft and the hard agent, each on a checkpoint `cfgexec train` wrote after
+  2 epochs (h 8, batches of 8, at most 12 solver steps) on 60 generated
+  graphs, evaluated on all 60; every CLI call writes into a temporary
+  directory. The soft dumps hold equilibrium and max-steps stops, the hard
+  ones equilibrium and exit-reached stops;
 - the printed report and exit code of `cfgexec gradcheck --seed s` for s = 0
   and 1 (the finite-difference check of the full model, through the CLI).
 """
@@ -50,9 +56,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import astuple
 from pathlib import Path
 
@@ -236,6 +244,28 @@ def vocabulary() -> dict[str, str]:
             for size in (64, 512)}
 
 
+def eval_dumps() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        spec = root / "spec.json"
+        spec.write_text(json.dumps({"n_graphs": 60, "seed": 3, "chain_length": 4,
+                                    "node_count_range": [9, 12]}))
+        data = str(root / "data.json")
+        assert cli.main(["generate", "--spec", str(spec), "--out", data]) == 0
+        for agent in ("soft", "hard"):
+            run = root / agent
+            assert cli.main(["train", "--data", data, "--out-dir", str(run), "--epochs", "2",
+                             "--h", "8", "--batch-size", "8", "--max-iter", "12",
+                             "--agent-mode", agent]) == 0
+            traces, solver = run / "traces.json", run / "solver.csv"
+            assert cli.main(["eval", "--checkpoint", str(run / "checkpoint"), "--data", data,
+                             "--dump-traces", str(traces), "--dump-solver", str(solver)]) == 0
+            out[f"eval dump {agent} traces"] = digest(traces.read_text())
+            out[f"eval dump {agent} solver"] = digest(solver.read_text())
+    return out
+
+
 def gradient_check() -> dict[str, str]:
     out = {}
     for seed in ("0", "1"):
@@ -247,7 +277,7 @@ def gradient_check() -> dict[str, str]:
 
 
 PARTS = (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
-         gcn_history, gcn_early_stop, vocabulary, gradient_check)
+         gcn_history, gcn_early_stop, vocabulary, eval_dumps, gradient_check)
 
 
 def compare(other_src: Path) -> int:

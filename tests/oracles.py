@@ -95,13 +95,12 @@ def anderson_reference(f, x0, cfg: SolverConfig, tol=None, on_iterate=None) -> S
         residuals.append(res)
         if gap > DIVERGENCE_LIMIT or not np.isfinite(gap):
             raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
+        reason = None if on_iterate is None else on_iterate(fx.reshape(shape), it)
         if res < tol:
             return SolverResult(fx.reshape(shape), residuals, it, True, fallback_steps)
-        if on_iterate is not None:
-            reason = on_iterate(fx.reshape(shape), it)
-            if reason is not None:
-                return SolverResult(fx.reshape(shape), residuals, it, False,
-                                    fallback_steps, stop_reason=reason)
+        if reason is not None:
+            return SolverResult(fx.reshape(shape), residuals, it, False,
+                                fallback_steps, stop_reason=reason)
         k = len(gs)
         if k == 1:
             x = fx.copy()
@@ -445,12 +444,11 @@ def train_vocab_reference(corpus, target_size: int) -> Vocab:
             for i in range(len(key) - 1):
                 pair = (key[i], key[i + 1])
                 counts[pair] = counts.get(pair, 0) + freq
-        if not counts:
+        fresh = [(pair, n) for pair, n in counts.items() if pair[0] + pair[1] not in pieces]
+        if not fresh:
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best = min(fresh, key=lambda kv: (-kv[1], kv[0]))[0]
         merged = best[0] + best[1]
-        if merged in pieces:
-            break
         pieces.append(merged)
         new_work: dict[tuple[str, ...], int] = {}
         for key, freq in work.items():

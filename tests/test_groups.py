@@ -139,6 +139,29 @@ class TestSolverStack:
         assert solve.results[1].stop_reason == "halt"
         assert same_array(solve.x_star[1], solve.results[1].x_star)
 
+    def test_on_iterate_sees_every_step_of_every_item(self):
+        maps = [self.tanh_map(seed) for seed in range(3)]
+        x0 = np.zeros((3, 14, 64), dtype=np.float32)
+        cfg = SolverConfig(m=5, max_iter=40)
+        alone = [anderson(f, x0[i], cfg).iterations for i, f in enumerate(maps)]
+        assert len(set(alone)) > 1  # some problem converges while another runs on
+        calls = []
+
+        def record(fx, it, items):
+            calls.append((it, items, fx.copy()))
+            # every problem is given a reason at the step where it converges
+            return ["halt" if it == alone[i] else None for i in items]
+
+        solve = anderson(self.stack(maps), x0, cfg, on_iterate=record, stacked=True)
+        for i, f in enumerate(maps):
+            seen = [(it, fx[items.index(i)]) for it, items, fx in calls if i in items]
+            assert [it for it, _ in seen] == list(range(1, alone[i] + 1))
+            assert same_array(seen[-1][1], solve.results[i].x_star)
+            r = solve.results[i]
+            assert r.converged and r.stop_reason is None and r.iterations == alone[i]
+            assert_same_solve(r, anderson_reference(f, x0[i], cfg, on_iterate=(
+                lambda x, it, n=alone[i]: "halt" if it == n else None)))
+
     def test_divergence_names_the_item(self):
         # no real fixed point for the middle problem: 10 + x^2 never vanishes
         maps = [lambda x: 0.5 * x, lambda x: x + 10.0 + x * x, lambda x: 0.5 * x]

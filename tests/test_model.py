@@ -148,6 +148,15 @@ class TestForward:
         assert plain.selected == []
         assert plain.solver_result.residuals == cache.solver_result.residuals[-1:]
 
+    @pytest.mark.parametrize("agent_mode", ["soft", "hard"])
+    def test_traced_eval_forward_does_not_linearize(self, agent_mode):
+        # the solver reports the converging iterate to the trace itself
+        cfg, _, bundle, store = tiny_setup(5)
+        cfg.agent_mode = agent_mode
+        _, cache = forward(bundle, store, cfg, mode="eval", seed=1, keep_trace=True)
+        assert "step_cache" not in cache.group.__dict__
+        assert len(cache.selected) == cache.solver_result.iterations
+
 
 class TestGatedEigenvalue:
     def test_eval_forward_skips_gated_eigenvalue(self, monkeypatch):

@@ -88,14 +88,14 @@ class TestMatchesFullRecount:
         assert ours == ref
         assert ours[-1] == "ab"
 
-    def test_stops_when_merge_is_already_a_piece(self):
+    def test_passes_over_a_merge_that_is_already_a_piece(self):
         # the merges rebuild "<eos>", a reserved piece, before ("a", "b") is
-        # merged, and training stops there with a pair left
+        # merged; that pair is passed over and training goes on to "ab"
         corpus = ["<eos>", "<eos>", "ab"]
         ours, ref = train_both(corpus, 40)
         assert ours == ref
-        assert ours[-3:] == ("<e", "<eo", "<eos")
-        assert "ab" not in ours
+        assert ours[-4:] == ("<e", "<eo", "<eos", "ab")
+        assert ours.count("<eos>") == 1
 
     def test_target_size_too_small(self):
         ours, ref = train_both(["abcdef", "ab"], 9)
