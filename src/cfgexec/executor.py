@@ -102,12 +102,9 @@ class StepCache:
     q: np.ndarray
     x_next: np.ndarray
 
-    def take(self, items) -> "StepCache":
-        """The cache of the stacked graphs `items` (an index or index list;
-        slice(None), for all of them, returns this cache)."""
-        if items == slice(None):
-            return self
-        return StepCache(*(getattr(self, f.name)[items] for f in fields(self)))
+    def take(self, i: int) -> "StepCache":
+        """The cache of stacked graph i."""
+        return StepCache(*(getattr(self, f.name)[i] for f in fields(self)))
 
     @functools.cached_property
     def agent_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,15 +156,14 @@ class JointStep:
         step.noise = noise
         return step
 
-    def take(self, items) -> "JointStep":
-        """The map of the stacked graphs `items` (an index or index list;
-        slice(None), for all of them, returns this map), sharing the weights
-        and slicing the injected term."""
-        if items == slice(None):
-            return self
+    def take(self, i: int) -> "JointStep":
+        """The map of stacked graph i alone, sharing the weights and slicing
+        the injected term. A stacked solve maps the whole stack and holds a
+        stopped graph at its result (see `solver.anderson`), so only one
+        graph's view of a group needs this."""
         step = copy.copy(self)
         for name in ("a_hat", "u", "noise", "inj", "inj_grad"):
-            setattr(step, name, getattr(self, name)[items])
+            setattr(step, name, getattr(self, name)[i])
         return step
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, StepCache]:

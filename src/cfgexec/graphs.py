@@ -301,9 +301,11 @@ def _graph_from_obj(obj: object, index: int) -> CfgGraph:
              f"{where}.nodes is not a non-empty list")
     n = len(obj["nodes"])
     for bi, block in enumerate(obj["nodes"]):
-        _require(isinstance(block, list), f"{where}.nodes[{bi}] is not a list")
+        _require(isinstance(block, list) and len(block) >= 1,
+                 f"{where}.nodes[{bi}] is not a non-empty list")
         for t in block:
-            _require(isinstance(t, int) and not isinstance(t, bool) and t >= 0,
+            # id 0 is the pad token, which the model masks out of a block
+            _require(isinstance(t, int) and not isinstance(t, bool) and t >= 1,
                      f"{where}.nodes[{bi}] has invalid token id {t!r}")
     _require(isinstance(obj["exits"], list), f"{where}.exits is not a list")
     for e in obj["exits"]:

@@ -216,22 +216,6 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _on_items(size: int, make: Callable[[slice | list[int]], Callable]) -> Callable:
-    """The map f(x, items) of a stacked solve over `size` problems: the map
-    `make(selection)` builds for the problems still running, built once per
-    set of them."""
-    built: dict[tuple[int, ...], Callable] = {}
-
-    def f(x: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
-        fn = built.get(items)
-        if fn is None:
-            built.clear()
-            fn = built[items] = make(slice(None) if len(items) == size else list(items))
-        return fn(x)
-
-    return f
-
-
 # The encoder tail and the head take one graph's arrays or a stacked group's.
 
 
@@ -413,7 +397,9 @@ def forward(bundle: GraphBundle | Sequence[GraphBundle], store: ParamStore,
     group cache). Every op acts per graph (stacked matmuls over each graph's
     own operands, reductions along per-graph axes), and each graph keeps its
     own noise, dropout, solver window and stop, so every graph gets the bits
-    it gets alone; one graph is the group of one.
+    it gets alone; one graph is the group of one. The solve maps the whole
+    group at every step: a graph that has stopped is held at its fixed point
+    while the others run (see `solver.anderson`).
 
     The Gumbel noise vector is drawn once per call from the seeded stream and
     held fixed across solver iterations, so the transition is a deterministic
@@ -475,16 +461,16 @@ def _forward_group(bundles: list[GraphBundle], store: ParamStore, config: ModelC
     selected: list[list[int]] = [[] for _ in bundles]
 
     def on_iterate(x_new: np.ndarray, _it: int, items: tuple[int, ...]) -> list[str | None]:
-        sub = noise if len(items) == len(bundles) else noise[list(items)]
-        z = gumbel_softmax(program_state(x_new, p["ws"]), sub, config.tau)
+        z = gumbel_softmax(program_state(x_new, p["ws"]), noise, config.tau)
+        tops = z.argmax(axis=-1).tolist()
         reasons: list[str | None] = []
-        for i, top in zip(items, z.argmax(axis=-1).tolist()):
+        for i in items:
             if keep_trace:
-                selected[i].append(top)
-            reasons.append("exit-reached" if hard and top in bundles[i].graph.exits else None)
+                selected[i].append(tops[i])
+            reasons.append("exit-reached" if hard and tops[i] in bundles[i].graph.exits else None)
         return reasons
 
-    solve = anderson(_on_items(len(bundles), step.take), step.u.copy(), config.solver,
+    solve = anderson(step, step.u.copy(), config.solver,
                      on_iterate=on_iterate if hard or keep_trace else None, stacked=True)
     if not keep_trace:
         for r in solve.results:
@@ -514,13 +500,8 @@ def implicit_backward(cache: GroupCache, dl_dxstar: np.ndarray) -> dict[str, np.
     per-iteration forward state is consulted.
     """
     step, sc = cache.step, cache.step_cache
-
-    def adjoint_map(items: slice | list[int]) -> Callable[[np.ndarray], np.ndarray]:
-        sub, sub_cache, rhs = step.take(items), sc.take(items), dl_dxstar[items]
-        return lambda v: rhs + sub.vjp_x(sub_cache, v)
-
     try:
-        res = anderson(_on_items(len(cache.bundles), adjoint_map), dl_dxstar.copy(),
+        res = anderson(lambda v: dl_dxstar + step.vjp_x(sc, v), dl_dxstar.copy(),
                        cache.config.solver, stacked=True)
     except DivergenceError as exc:
         raise DivergenceError(f"adjoint-divergence: {exc}") from exc

@@ -134,17 +134,18 @@ def anderson(
 
     With stacked=True, x0's leading axis stacks independent problems that are
     solved side by side and returned as a `StackResult`: each keeps its own
-    window, residuals, fallbacks and stop, and leaves the stack when it stops.
-    Then f(x, items) maps the iterates of the problems still running, `items`
-    being their positions in the stack (a tuple, the same object until one
-    stops). At every step, once each residual is recorded and checked for
-    divergence, on_iterate(fx, it, items) gets the map values of every
-    problem still running and returns one stop reason or None per problem; a
-    problem whose residual meets tol at that step stops converged, with no
-    stop reason, whatever reason it was given. A problem that diverges raises
-    `DivergenceError` for the stack, with the message it raises alone. A
-    single solve is the stack of one, and its on_iterate(fx, it) returns one
-    reason or None.
+    window, residuals, fallbacks and stop. f(x) maps the whole stack at every
+    step. A problem that has stopped is held at its result, its row of x set
+    back to its final iterate before each map, and records nothing more (no
+    residual, divergence check or fallback step). At every step, once each
+    running problem's residual is recorded and checked for divergence,
+    on_iterate(fx, it, items) gets the whole stack's map values and the stack
+    positions of the running problems, and returns one stop reason or None
+    per running problem; a problem whose residual meets tol at that step
+    stops converged, with no stop reason, whatever reason it was given. A
+    problem that diverges raises `DivergenceError` for the stack, with the
+    message it raises alone. A single solve is the stack of one, and its
+    on_iterate(fx, it) returns one reason or None.
 
     The window holds each problem's residuals as rows of an f64 (m, N)
     buffer and its f(x) values as columns of an (N, k) array of f(x)'s dtype,
@@ -158,22 +159,21 @@ def anderson(
     combination multiplies the C-contiguous (N, k) columns. Each product is
     a stacked matmul or `np.vecdot` over per-problem operands, so BLAS sees
     the same operands as for one problem alone. Norms are sqrt(v . v) in the iterate's dtype, as
-    np.linalg.norm computes them; a lone problem takes them as 1-D dots,
+    np.linalg.norm computes them; a stack of one takes them as 1-D dots,
     which cost less per call than stacked ones.
     """
     if not stacked:
         stop = None if on_iterate is None else (
             lambda fx, it, _items: [on_iterate(fx[0], it)])
-        solve = anderson(lambda x, _items: f(x[0])[None], np.asarray(x0)[None], cfg, stop,
-                         stacked=True)
-        return solve.results[0]
+        return anderson(lambda x: f(x[0])[None], np.asarray(x0)[None], cfg, stop,
+                        stacked=True).results[0]
     x0 = np.asarray(x0)
     size, shape = x0.shape[0], x0.shape[1:]
     x = x0.reshape(size, -1).copy()
     tol = cfg.resolve_tol(x.dtype)
     n, m = x.shape[1], cfg.m
     items = tuple(range(size))  # stack positions of the problems still running
-    stack_shape = (size, *shape)
+    held: list[int] = []  # stack positions of the problems that stopped
     g_rows = np.empty((size, m, n))  # windows of residuals f(x_i) - x_i, solved in f64
     fx_cols: np.ndarray | None = None  # windows of f(x_i) as columns, aligned with g_rows
     x_out: np.ndarray | None = None  # each problem's final iterate
@@ -183,15 +183,16 @@ def anderson(
     fallbacks: list[list[int]] = [[] for _ in range(size)]
     results: list[SolverResult | None] = [None] * size
 
-    def finish(j: int, value: np.ndarray, it: int, converged: bool,
+    def finish(i: int, value: np.ndarray, it: int, converged: bool,
                reason: str | None = None) -> None:
-        i = items[j]
         x_out[i] = value
         results[i] = SolverResult(x_out[i].reshape(shape), residuals[i], it, converged,
                                   fallbacks[i], stop_reason=reason)
 
     for it in range(1, cfg.max_iter + 1):
-        fx = f(x.reshape(stack_shape), items).reshape(x.shape)
+        if held:
+            x[held] = x_out[held]
+        fx = f(x.reshape(size, *shape)).reshape(x.shape)
         if x_out is None:
             x_out = np.empty((size, n), dtype=fx.dtype)
         g = fx - x
@@ -206,7 +207,7 @@ def anderson(
                        else np.concatenate((fx_cols, fx[..., None]), axis=-1))
         g_rows[:, k - 1] = g
         # residuals are compared as Python floats, as one problem's would be
-        if len(items) == 1:
+        if size == 1:
             gap = float(np.sqrt(g[0].dot(g[0])))
             gaps, res = [gap], [float(gap / (np.sqrt(x[0].dot(x[0])) + 1e-12))]
         else:
@@ -215,36 +216,30 @@ def anderson(
             # divided in the iterate's dtype, as a Python float gap would be
             res = (gaps.astype(x_norms.dtype, copy=False) / (x_norms + 1e-12)).tolist()
             gaps = gaps.tolist()
-        for i, gap, r in zip(items, gaps, res):
-            residuals[i].append(r)
-            if gap > DIVERGENCE_LIMIT or not math.isfinite(gap):
-                raise DivergenceError(f"divergence: residual {gap:.3e} at iteration {it}")
+        for i in items:
+            residuals[i].append(res[i])
+            if gaps[i] > DIVERGENCE_LIMIT or not math.isfinite(gaps[i]):
+                raise DivergenceError(f"divergence: residual {gaps[i]:.3e} at iteration {it}")
         reasons = ([None] * len(items) if on_iterate is None
-                   else on_iterate(fx.reshape(stack_shape), it, items))
-        stopped = []
-        for j, (r, reason) in enumerate(zip(res, reasons)):
-            if r < tol or reason is not None:
-                stopped.append(j)
-                finish(j, fx[j], it, r < tol, None if r < tol else reason)
-        if stopped:
-            keep = [j for j in range(len(items)) if j not in stopped]
-            if not keep:
-                break
-            items = tuple(items[j] for j in keep)
-            stack_shape = (len(keep), *shape)
-            fx, g_rows, fx_cols = fx[keep], g_rows[keep], fx_cols[keep]
-            g_last = np.empty((len(keep), n, 2))[..., :1]
+                   else on_iterate(fx.reshape(size, *shape), it, items))
+        for i, reason in zip(items, reasons):
+            if res[i] < tol or reason is not None:
+                finish(i, fx[i], it, res[i] < tol, None if res[i] < tol else reason)
+                held.append(i)
+        if len(held) == size:
+            break
+        items = tuple(i for i in items if results[i] is None)
         if k == 1:
             x = fx.copy()
             continue
         g_last[..., 0] = g_rows[:, k - 1]
-        d = np.empty((len(items), n, k - 1))
+        d = np.empty((size, n, k - 1))
         d_t = d.transpose(0, 2, 1)
         np.subtract(g_rows[:, k - 1 : k], g_rows[:, : k - 1], out=d_t)
         gram = d_t @ d
         # the ridge goes onto each matrix's diagonal, a strided view; the
         # trace is the view's sum, in the diagonal's order
-        diag = gram.reshape(len(items), -1)[:, ::k]
+        diag = gram.reshape(size, -1)[:, ::k]
         diag += ANDERSON_RIDGE * (diag.sum(axis=1, keepdims=True) / (k - 1))
         beta = solve_stack(gram, d_t @ g_last)
         sums = beta.sum(axis=1)
@@ -253,16 +248,17 @@ def anderson(
             failed = np.flatnonzero(~np.isfinite(beta).all(axis=(1, 2))).tolist()
             beta[failed] = 0.0  # these problems take the plain update below
             sums = beta.sum(axis=1)
-        alpha = np.empty((len(items), k, 1), dtype=fx.dtype)
+        alpha = np.empty((size, k, 1), dtype=fx.dtype)
         alpha[:, :-1] = beta
         alpha[:, -1] = 1.0 - sums
         x = (fx_cols @ alpha)[..., 0]
-        for j in failed:
-            fallbacks[items[j]].append(it)
-            x[j] = fx[j]
+        for i in failed:
+            x[i] = fx[i]
+            if results[i] is None:
+                fallbacks[i].append(it)
     else:
-        for j in range(len(items)):
-            finish(j, x[j], it, False)
+        for i in items:
+            finish(i, x[i], it, False)
     return StackResult(x_out.reshape(size, *shape), results)
 
 
@@ -291,10 +287,13 @@ def pf_eigenvalue(matrix: np.ndarray, max_iter: int = 1000,
 
     Leading axes stack matrices of one shape, and the result is an array
     over them (a float for one matrix, the stack of one). Each matrix keeps
-    its own stop and leaves the stack when it stops. The products are
-    stacked matmuls and `np.vecdot`s over each matrix's own operands, so a
-    matrix gets the bits it gets alone; a stack saves per-call dispatch, and
-    a stack of one costs about three times a plain 1-D loop.
+    its own stop and leaves the stack when it stops, unlike a stacked
+    `anderson` problem: only this loop's own arrays are sliced, and the stops
+    spread widely over stacks of a few hundred matrices at tol 1e-12, so
+    holding the stopped ones would keep most products running. The products
+    are stacked matmuls and `np.vecdot`s over each matrix's own operands, so
+    a matrix gets the bits it gets alone; a stack saves per-call dispatch,
+    and a stack of one costs about three times a plain 1-D loop.
     """
     # a new C-ordered array, which becomes M + I in place
     m = np.abs(matrix, dtype=np.float64, order="C")

@@ -260,6 +260,8 @@ def split(dataset: Sequence[CfgGraph], ratio: float = 0.75,
     """Deterministic shuffle split into disjoint, exhaustive train/eval lists."""
     if not dataset:
         raise SynthesisError("empty-dataset", "cannot split an empty dataset")
+    if not 0.0 <= ratio <= 1.0:
+        raise SynthesisError("infeasible-spec", f"split ratio must be in [0, 1], got {ratio}")
     order = np.random.default_rng(derive_seed(seed, "split")).permutation(len(dataset))
     cut = int(len(dataset) * ratio)
     train = [dataset[i] for i in order[:cut]]

@@ -307,6 +307,8 @@ def evaluate(bundles: Sequence[GraphBundle], store: ParamStore, config: TrainCon
     A list given as `traces` receives each graph's first-draw cache, run with
     keep_trace (which leaves the score's bits as they are).
     """
+    if noise_seeds < 1:
+        raise ValueError(f"noise_seeds must be >= 1, got {noise_seeds}")
     draws: list[list[float]] = []
     for b in bundles:
         if b.label is None:

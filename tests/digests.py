@@ -47,7 +47,15 @@ What it hashes:
   directory. The soft dumps hold equilibrium and max-steps stops, the hard
   ones equilibrium and exit-reached stops;
 - the printed report and exit code of `cfgexec gradcheck --seed s` for s = 0
-  and 1 (the finite-difference check of the full model, through the CLI).
+  and 1 (the finite-difference check of the full model, through the CLI);
+- one stacked `anderson` solve per dtype (f32, f64) of five (14, 64)
+  problems, four tanh maps and a constant shift: each result's x_star,
+  residuals, iterations, converged flag, fallback steps and stop reason. The
+  stack holds a convergence at step 9 (f32) or 13 (f64), a stop by reason at
+  step 6, three max-iter stops at step 20, and the shift, which falls back
+  at every step from step 2. The map also takes the `items` argument that
+  older trees pass, and the reasons do not read the map values, so a tree
+  that maps only the running problems computes the same lines.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from cfgexec.asm import function_tokens, parse_listing, strip_semantics
 from cfgexec import cli
 from cfgexec.baseline import train_gcn
 from cfgexec.model import forward, init_model_params, prepare_graph
+from cfgexec.solver import SolverConfig, anderson
 from cfgexec.synth import SyntheticSpec, generate_dataset, split
 from cfgexec.training import TrainConfig, evaluate, metrics_csv_rows, train
 from cfgexec.vocab import train_vocab
@@ -276,8 +285,42 @@ def gradient_check() -> dict[str, str]:
     return out
 
 
+def stacked_solve() -> dict[str, str]:
+    out = {}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(23)
+        maps = []
+        for scale in (0.05, 0.15, 0.15, None, 0.2):
+            if scale is None:  # a constant shift repeats its residual: singular at every step
+                maps.append(lambda x, c=np.full((14, 64), 1e-3, dtype=dtype): x + c)
+                continue
+            a = rng.random((14, 14))
+            a /= a.sum(axis=0)
+            w = rng.normal(size=(64, 64)) * scale
+            b = rng.normal(size=(14, 64))
+            a, w, b = (v.astype(dtype) for v in (a, w, b))
+            maps.append(lambda x, a=a, w=w, b=b: np.tanh(a.T @ x @ w + b))
+
+        def f(x, items=None):
+            rows = range(len(x)) if items is None else items
+            return np.stack([maps[i](xi) for i, xi in zip(rows, x)])
+
+        def on_iterate(_fx, it, items):
+            return ["halt" if i == 2 and it == 6 else None for i in items]
+
+        x0 = np.zeros((5, 14, 64), dtype=dtype)
+        x0[3] = 1.0
+        solve = anderson(f, x0, SolverConfig(m=5, max_iter=20), on_iterate=on_iterate,
+                         stacked=True)
+        out[f"stacked solve {np.dtype(dtype).name}"] = digest(*[
+            (r.x_star, r.residuals, np.int64(r.iterations), np.bool_(r.converged),
+             np.array(r.fallback_steps, dtype=np.int64), str(r.stop_reason))
+            for r in solve.results])
+    return out
+
+
 PARTS = (criterion6_epochs, f64_training, grouped_training, deep_graphs, long_blocks,
-         gcn_history, gcn_early_stop, vocabulary, eval_dumps, gradient_check)
+         gcn_history, gcn_early_stop, vocabulary, eval_dumps, gradient_check, stacked_solve)
 
 
 def compare(other_src: Path) -> int:

@@ -535,6 +535,23 @@ class TestUnreadableInputs:
             "but the checkpoint's vocabulary has 16 ids (0-15)"]
         assert not traces.exists()
 
+    @pytest.mark.parametrize("block,message", [
+        ([], "graphs[2].nodes[1] is not a non-empty list"),
+        ([2, 0, 0, 3], "graphs[2].nodes[1] has invalid token id 0"),
+    ], ids=["empty", "pad-id"])
+    def test_empty_or_padded_block_is_data_error(self, tmp_path, capsys, block, message):
+        data = tmp_path / "data.json"
+        main(["generate", "--spec", str(write_spec(tmp_path / "spec.json")), "--out", str(data)])
+        doc = json.loads(data.read_text())
+        doc["graphs"][2]["nodes"][1] = block
+        data.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                     "--h", "8", "--epochs", "1"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [f"data error: schema-violation: {message}"]
+        assert not (tmp_path / "run").exists()
+
 
 # each command's first step, which must not start when its output cannot be written
 FIRST_WORK = {"vocab": ["_collect_asm_tokens"], "parse": ["read_vocab_file"],

@@ -302,6 +302,22 @@ class TestGraphFile:
             read_graph_file(path)
         assert err.value.code == "schema-violation"
 
+    @pytest.mark.parametrize("block,message", [
+        ([], "graphs[0].nodes[1] is not a non-empty list"),
+        ([2, 0, 0, 3], "graphs[0].nodes[1] has invalid token id 0"),
+    ], ids=["empty", "pad-id"])
+    def test_empty_or_padded_block_is_schema_violation(self, tmp_path, block, message):
+        # the model would mask a pad id out of the block, or find no token in it
+        payload = {"format_version": 1, "graphs": [{
+            "id": "g", "entry": 0, "exits": [1], "label": None,
+            "nodes": [[2, 3], block], "edges": [[0, 1]]}]}
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(GraphFileError) as err:
+            read_graph_file(path)
+        assert err.value.code == "schema-violation"
+        assert str(err.value) == f"schema-violation: {message}"
+
     def test_parse_error_has_line_context(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"format_version": 1,\n "graphs": [}')

@@ -88,8 +88,8 @@ class TestSolverStack:
 
     @staticmethod
     def stack(maps):
-        def f(x, items):
-            return np.stack([maps[i](xi) for i, xi in zip(items, x)])
+        def f(x):
+            return np.stack([fi(xi) for fi, xi in zip(maps, x)])
         return f
 
     def test_singular_gram_item_falls_back_alone(self):
@@ -129,7 +129,7 @@ class TestSolverStack:
             return "halt" if it == 7 else None
 
         def stop_second(fx, it, items):
-            return [stop(x, it) if i == 1 else None for i, x in zip(items, fx)]
+            return [stop(fx[i], it) if i == 1 else None for i in items]
 
         cfg = SolverConfig(m=5, max_iter=40)
         solve = anderson(self.stack(maps), x0, cfg, on_iterate=stop_second, stacked=True)
@@ -154,13 +154,74 @@ class TestSolverStack:
 
         solve = anderson(self.stack(maps), x0, cfg, on_iterate=record, stacked=True)
         for i, f in enumerate(maps):
-            seen = [(it, fx[items.index(i)]) for it, items, fx in calls if i in items]
+            seen = [(it, fx[i]) for it, items, fx in calls if i in items]
             assert [it for it, _ in seen] == list(range(1, alone[i] + 1))
             assert same_array(seen[-1][1], solve.results[i].x_star)
             r = solve.results[i]
             assert r.converged and r.stop_reason is None and r.iterations == alone[i]
             assert_same_solve(r, anderson_reference(f, x0[i], cfg, on_iterate=(
                 lambda x, it, n=alone[i]: "halt" if it == n else None)))
+
+    @staticmethod
+    def recorded(maps, calls):
+        """The stacked map of `maps`, appending a copy of each stack it maps."""
+        f = TestSolverStack.stack(maps)
+
+        def mapped(x):
+            calls.append(x.copy())
+            return f(x)
+        return mapped
+
+    @staticmethod
+    def assert_held(solve, calls, size, shape):
+        """Every call mapped the whole stack, and each problem's rows after
+        its stop are its x_star, bit for bit."""
+        assert all(x.shape == (size, *shape) for x in calls)
+        held = 0
+        for i, r in enumerate(solve.results):
+            for x in calls[r.iterations:]:
+                assert same_array(x[i], r.x_star)
+                held += 1
+        return held
+
+    def test_every_call_maps_the_whole_stack_and_holds_stopped_items(self):
+        maps = [self.tanh_map(seed) for seed in range(3)]
+        x0 = np.zeros((3, 14, 64), dtype=np.float32)
+        cfg = SolverConfig(m=5, max_iter=40)
+        calls = []
+        solve = anderson(self.recorded(maps, calls), x0, cfg, stacked=True)
+        assert len(calls) == solve.iterations
+        assert len({r.iterations for r in solve.results}) > 1  # some problem is held
+        assert self.assert_held(solve, calls, 3, (14, 64)) > 0
+        for i, f in enumerate(maps):
+            assert_same_solve(solve.results[i], anderson_reference(f, x0[i], cfg))
+
+    def test_held_item_whose_map_blows_up_raises_nothing(self):
+        # solved on, the middle map diverges (10 + x^2 has no real fixed
+        # point); it is stopped at step 2 while the others run 30 more steps
+        maps = [self.tanh_map(0, np.float64), lambda x: x * x + 10.0,
+                self.tanh_map(1, np.float64)]
+        x0 = np.zeros((3, 14, 64))
+        x0[1] = np.linspace(-1.0, 1.0, 14 * 64).reshape(14, 64)
+        cfg = SolverConfig(m=5, max_iter=32, tol=0.0)
+        with pytest.raises(DivergenceError):
+            anderson_reference(maps[1], x0[1], cfg)
+
+        def stop(x, it):
+            return "halt" if it == 2 else None
+
+        def stop_middle(fx, it, items):
+            return [stop(fx[i], it) if i == 1 else None for i in items]
+
+        calls = []
+        solve = anderson(self.recorded(maps, calls), x0, cfg, on_iterate=stop_middle,
+                         stacked=True)
+        assert [r.iterations for r in solve.results] == [2 + 30, 2, 2 + 30]
+        assert solve.results[1].stop_reason == "halt"
+        assert self.assert_held(solve, calls, 3, (14, 64)) == 30
+        for i, f in enumerate(maps):
+            want = anderson_reference(f, x0[i], cfg, on_iterate=stop if i == 1 else None)
+            assert_same_solve(solve.results[i], want)
 
     def test_divergence_names_the_item(self):
         # no real fixed point for the middle problem: 10 + x^2 never vanishes

@@ -162,3 +162,11 @@ class TestSplit:
     def test_empty_rejected(self):
         with pytest.raises(SynthesisError):
             split([], 0.75, 0)
+
+    @pytest.mark.parametrize("ratio", [-0.5, 1.5, float("nan")])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        ds = generate_dataset(SyntheticSpec(n_graphs=4, chain_length=2,
+                                            node_count_range=(6, 8), vocab_size=16))
+        with pytest.raises(SynthesisError) as err:
+            split(ds, ratio, 0)
+        assert err.value.code == "infeasible-spec"

@@ -420,6 +420,17 @@ class TestEvalEncoderReuse:
         assert scores == want_scores
         assert loss == want_loss
 
+    @pytest.mark.parametrize("noise_seeds", [0, -1])
+    def test_noise_seeds_below_one_rejected_before_any_forward(self, monkeypatch, noise_seeds):
+        bundles, store = self.eval_setup(small_config())
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("ran a forward")
+
+        monkeypatch.setattr(cfgexec.training, "forward", no_forward)
+        with pytest.raises(ValueError, match="noise_seeds must be >= 1"):
+            evaluate(bundles, store, small_config(), noise_seeds=noise_seeds)
+
     def test_reuse_needs_an_eval_cache_of_the_same_bundle(self):
         cfg = small_config()
         store = init_model_params(cfg, 16, seed=0)
